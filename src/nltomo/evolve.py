@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "propagate_unitary",
     "propagate_phase_damping",
     "propagate_amplitude_damping_closed",
-    "amplitude_damping_factorial_variant",
     "coherence_block_solve",
     "amplitude_exact_states",
     "lindblad_rhs",
@@ -204,7 +203,6 @@ def propagate_phase_damping(
 # --- amplitude-damping cascade machinery -----------------------------------
 
 _block_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_block_lock = threading.Lock()
 
 
 def _cascade_block(dim: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +233,7 @@ def _cascade_block(dim: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     B.setflags(write=False)
     K = np.ascontiguousarray(K)
     K.setflags(write=False)
-    with _block_lock:
-        _block_cache[key] = (B, K)
+    _block_cache[key] = (B, K)
     return B, K
 
 
@@ -302,30 +299,6 @@ def propagate_amplitude_damping_closed(
     return DensityMatrix(rho0.dim, mat)
 
 
-def amplitude_damping_factorial_variant(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
-) -> np.ndarray:
-    """Cascade with an extra 1/k! inside the sum; diagnostic only.
-
-    This variant of the series is easy to write down by analogy with a
-    Poisson kernel but does not preserve the trace (for a Fock state
-    |q><q| the ground-state population comes out as (1-e^{-gamma t})^q/q!
-    instead of (1-e^{-gamma t})^q).  It is retained, returning a bare
-    array rather than a :class:`DensityMatrix`, so tests can demonstrate
-    the violation explicitly.
-    """
-    t = _validate_time(t)
-    gamma = _validate_gamma(gamma)
-    w = -np.expm1(-gamma * t)
-    phi = medium.phase_exponents(rho0.dim)
-
-    def weights(d: int, J: int) -> np.ndarray:
-        k = np.arange(J)
-        return w**k * np.exp(-gammaln(k + 1.0))
-
-    return _amplitude_cascade(rho0.elements, phi, medium.chi, gamma, t, weights)
-
-
 def _kerr_offset_weights(chi: float, gamma: float, t: float, d: int, J: int) -> np.ndarray:
     """Exact per-offset weights for the Kerr cascade.
 
@@ -354,6 +327,16 @@ def _cascade_generator(dim: int, d: int, phi: np.ndarray, chi: float, gamma: flo
         b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
         A += np.diag(b.astype(np.complex128), 1)
     return A
+
+
+def _populations(diag0: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """Closed-form population (d = 0) block at time t, valid in any medium."""
+    dim = diag0.size
+    n = np.arange(dim)
+    w0 = (-np.expm1(-gamma * t)) ** n
+    B, K = _cascade_block(dim, 0)
+    y0 = (B * w0[np.clip(K, 0, dim - 1)]) @ diag0
+    return y0 * np.exp(-gamma * n * t)
 
 
 def coherence_block_solve(
@@ -385,12 +368,7 @@ def coherence_block_solve(
 
     # cubic: per-diagonal matrix exponentials
     out = np.empty_like(rho0.elements)
-    diag0 = np.real(np.diagonal(rho0.elements))
-    w0 = (-np.expm1(-gamma * t)) ** np.arange(dim)
-    B, K = _cascade_block(dim, 0)
-    y0 = (B * w0[np.clip(K, 0, dim - 1)]) @ diag0
-    y0 *= np.exp(-gamma * np.arange(dim) * t)
-    np.fill_diagonal(out, y0)
+    np.fill_diagonal(out, _populations(np.real(np.diagonal(rho0.elements)), gamma, t))
     for d in range(1, dim):
         J = dim - d
         x0 = np.array(np.diagonal(rho0.elements, offset=-d))
@@ -404,9 +382,11 @@ def coherence_block_solve(
 
 def amplitude_exact_states(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
-) -> list[DensityMatrix]:
-    """Exact amplitude-damped states at each requested time.
+) -> Iterator[DensityMatrix]:
+    """Exact amplitude-damped states at each requested time, in order.
 
+    ``times`` and ``gamma`` are validated on the call; the states are
+    then produced lazily, one per time, and none is kept once yielded.
     For a uniform grid of cubic-medium times the per-diagonal step
     propagators expm(A_d * dt) are formed once and iterated, which is
     both much cheaper and numerically tamer than exponentiating A_d * t
@@ -419,15 +399,21 @@ def amplitude_exact_states(
         raise ValidationError("times must be a non-empty 1-D array")
     if np.any(times < 0) or not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite and >= 0")
-    gamma = _validate_gamma(gamma)
+    return _exact_states(rho0, medium, _validate_gamma(gamma), times)
 
+
+def _exact_states(
+    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
+) -> Iterator[DensityMatrix]:
     uniform = (
         times.size >= 3
         and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
         and times[0] == 0.0
     )
     if medium.kind is not MediumKind.CUBIC or gamma == 0.0 or not uniform:
-        return [coherence_block_solve(rho0, medium, gamma, float(t)) for t in times]
+        for t in times:
+            yield coherence_block_solve(rho0, medium, gamma, float(t))
+        return
 
     dim = rho0.dim
     phi = medium.phase_exponents(dim)
@@ -438,23 +424,16 @@ def amplitude_exact_states(
     ]
     xs = [np.array(np.diagonal(rho0.elements, offset=-d)) for d in range(1, dim)]
     diag0 = np.real(np.diagonal(rho0.elements))
-    B0, K0 = _cascade_block(dim, 0)
-    n = np.arange(dim)
-
-    out: list[DensityMatrix] = []
     for i, t in enumerate(times):
-        mat = np.empty_like(rho0.elements)
-        w0 = (-np.expm1(-gamma * t)) ** n
-        y0 = (B0 * w0[np.clip(K0, 0, dim - 1)]) @ diag0
-        np.fill_diagonal(mat, y0 * np.exp(-gamma * n * t))
         if i > 0:
             xs = [P @ x for P, x in zip(steppers, xs)]
+        mat = np.empty_like(rho0.elements)
+        np.fill_diagonal(mat, _populations(diag0, gamma, t))
         for d in range(1, dim):
             j = np.arange(dim - d)
             mat[j + d, j] = xs[d - 1]
             mat[j, j + d] = np.conj(xs[d - 1])
-        out.append(DensityMatrix(dim, mat))
-    return out
+        yield DensityMatrix(dim, mat)
 
 
 # --- operator-form generator and reference integrator -----------------------

@@ -17,6 +17,7 @@ the per-row normalization and entropy-bound invariants intact.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from .config import AmplitudeSolver, ExperimentConfig, Product
@@ -378,29 +379,7 @@ def preset_configs(name: str, out_dir: str | Path | None = None) -> tuple[Experi
     if name not in _CATALOG:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(_CATALOG)}")
     base = Path(out_dir) if out_dir is not None else Path("nltomo_out") / name
-    runs = []
-    for cfg in _CATALOG[name][1]:
-        runs.append(
-            ExperimentConfig(
-                initial_state=cfg.initial_state,
-                medium=cfg.medium,
-                damping=cfg.damping,
-                dim=cfg.dim,
-                t_end_over_trev=cfg.t_end_over_trev,
-                steps=cfg.steps,
-                x_max=cfg.x_max,
-                n_x=cfg.n_x,
-                theta_count=cfg.theta_count,
-                amplitude_solver=cfg.amplitude_solver,
-                products=cfg.products,
-                tomograms_at=cfg.tomograms_at,
-                minima_prominence=cfg.minima_prominence,
-                out_dir=base,
-                name=cfg.name,
-                force=cfg.force,
-            )
-        )
-    return tuple(runs)
+    return tuple(replace(cfg, out_dir=base) for cfg in _CATALOG[name][1])
 
 
 def run_preset(name: str, out_dir: str | Path | None = None) -> list[RunResult]:

@@ -1,24 +1,22 @@
 """Configuration-driven experiment runner.
 
-Builds the initial state, sweeps the time grid with the propagator
-selected by the damping channel and solver choice, computes one
-:class:`~nltomo.quantifiers.QuantifierRecord` per sample on a worker
-pool, enforces the row invariants (trace and the entropic uncertainty
-bound), and writes the CSV / tomogram-dump / minima-report products.
+Builds the initial state, sweeps the time grid in order with the
+propagator selected by the damping channel and solver choice, computes
+one :class:`~nltomo.quantifiers.QuantifierRecord` per sample, enforces
+the row invariants (trace and the entropic uncertainty bound), and
+writes the CSV / tomogram-dump / minima-report products.
 
-Outputs are deterministic for a fixed configuration: workers only
-parallelize independent time samples and results are committed in grid
-order.
+The sweep, the tomogram dumps, the convergence sweep and the oracle all
+take their states from one generator, so the oracle checks the
+propagator the sweep uses.  Outputs are deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,12 +25,10 @@ from .errors import NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
     amplitude_exact_states,
-    coherence_block_solve,
     integrate_master,
     propagate_amplitude_damping_closed,
     propagate_phase_damping,
     propagate_unitary,
-    MediumKind,
 )
 from .quantifiers import (
     ENTROPY_BOUND,
@@ -48,7 +44,6 @@ __all__ = [
     "RunResult",
     "ConvergenceReport",
     "OracleReport",
-    "worker_count",
     "run_experiment",
     "convergence_sweep",
     "oracle_report",
@@ -58,29 +53,6 @@ __all__ = [
 _TAIL_TOL = 1e-6
 _TRACE_ROW_TOL = 1e-10
 _BOUND_ROW_TOL = 1e-6
-
-WORKERS_ENV = "NLTOMO_WORKERS"
-
-
-def worker_count() -> int:
-    """Worker pool size: NLTOMO_WORKERS if set, else min(8, cpu count)."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {n}")
-    return n
-
-
-def _map_ordered(fn: Callable[[int], object], count: int, workers: int) -> list:
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -93,25 +65,18 @@ class RunResult:
     config_path: Path | None
 
 
-def _state_propagator(cfg: ExperimentConfig, rho0: DensityMatrix) -> Callable[[float], DensityMatrix]:
+def _states(
+    cfg: ExperimentConfig, rho0: DensityMatrix, times: Sequence[float]
+) -> Iterator[DensityMatrix]:
+    """The configured propagator's state at each time, in order."""
     medium, damping = cfg.medium, cfg.damping
     if damping.channel is DampingChannel.NONE:
-        return lambda t: propagate_unitary(rho0, medium, t)
+        return (propagate_unitary(rho0, medium, t) for t in times)
     if damping.channel is DampingChannel.PHASE:
-        return lambda t: propagate_phase_damping(rho0, medium, damping.gamma, t)
+        return (propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times)
     if cfg.amplitude_solver is AmplitudeSolver.CLOSED_FORM:
-        return lambda t: propagate_amplitude_damping_closed(rho0, medium, damping.gamma, t)
-    return lambda t: coherence_block_solve(rho0, medium, damping.gamma, t)
-
-
-def _needs_sequential_sweep(cfg: ExperimentConfig) -> bool:
-    # cubic-medium exact amplitude damping steps diagonal blocks along a
-    # uniform grid; everything else evaluates each time independently
-    return (
-        cfg.damping.channel is DampingChannel.AMPLITUDE
-        and cfg.amplitude_solver is AmplitudeSolver.EXACT
-        and cfg.medium.kind is MediumKind.CUBIC
-    )
+        return (propagate_amplitude_damping_closed(rho0, medium, damping.gamma, t) for t in times)
+    return amplitude_exact_states(rho0, medium, damping.gamma, times)
 
 
 def _resolve_window(cfg: ExperimentConfig, rho0: DensityMatrix) -> tuple[float, int]:
@@ -174,27 +139,16 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
     times = cfg.time_grid.values
     t_rev = cfg.t_rev
     window = _resolve_window(cfg, rho0)
-    workers = worker_count()
 
     needs_sweep = bool(
         cfg.products & {Product.QUANTIFIERS_CSV, Product.MINIMA_REPORT}
     )
     records: tuple[QuantifierRecord, ...] = ()
     if needs_sweep:
-        if _needs_sequential_sweep(cfg):
-            states = amplitude_exact_states(rho0, cfg.medium, cfg.damping.gamma, times)
-
-            def record_at(i: int) -> QuantifierRecord:
-                return compute_record(states[i], times[i], t_rev, cfg.theta_count, window)
-
-        else:
-            propagate = _state_propagator(cfg, rho0)
-
-            def record_at(i: int) -> QuantifierRecord:
-                rho_t = propagate(float(times[i]))
-                return compute_record(rho_t, times[i], t_rev, cfg.theta_count, window)
-
-        records = tuple(_map_ordered(record_at, len(times), workers))
+        records = tuple(
+            compute_record(rho_t, t, t_rev, cfg.theta_count, window)
+            for rho_t, t in zip(_states(cfg, rho0, times), times)
+        )
         for rec in records:
             _check_row_invariants(rec)
 
@@ -205,12 +159,11 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
 
     dump_paths: list[Path] = []
     if Product.TOMOGRAM_DUMP in cfg.products:
-        propagate_single = _state_propagator(cfg, rho0)
         dump_thetas = uniform_thetas(cfg.theta_count)
         x_max, n_x = window
         dump_grid = QuadratureGrid(-x_max, x_max, n_x, dump_thetas)
-        for u in cfg.tomograms_at:
-            rho_t = propagate_single(u * t_rev)
+        dump_times = [u * t_rev for u in cfg.tomograms_at]
+        for u, rho_t in zip(cfg.tomograms_at, _states(cfg, rho0, dump_times)):
             tomo = tomogram_of_density(rho_t, dump_grid)
             path = cfg.out_dir / f"{cfg.name}_tomogram_t{('%.6g' % u).replace('.', 'p')}trev.dat"
             dump_paths.append(tomo.write_dump(path))
@@ -282,23 +235,9 @@ def convergence_sweep(
 
     area_rows, n_rows, trace_rows = [], [], []
     for dim in dims:
-        sub = ExperimentConfig(
-            initial_state=cfg.initial_state,
-            medium=cfg.medium,
-            damping=cfg.damping,
-            dim=dim,
-            t_end_over_trev=cfg.t_end_over_trev,
-            steps=cfg.steps,
-            theta_count=cfg.theta_count,
-            amplitude_solver=cfg.amplitude_solver,
-            out_dir=cfg.out_dir,
-            name=cfg.name,
-            force=True,
-        )
-        psi = sub.initial_state.build(dim)
-        rho0 = density_from_pure(psi)
-        propagate = _state_propagator(sub, rho0)
-        states = [propagate(t) for t in probe_times]
+        sub = replace(cfg, dim=dim, force=True)
+        rho0 = density_from_pure(sub.initial_state.build(dim))
+        states = list(_states(sub, rho0, probe_times))
         area_rows.append(
             [nonclassical_area(s, theta_count=cfg.theta_count) for s in states]
         )
@@ -385,19 +324,8 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
     dimension a faithful probe of their correctness.
     """
     dim = min(cfg.dim, _ORACLE_DIM_CAP)
-    sub = ExperimentConfig(
-        initial_state=cfg.initial_state,
-        medium=cfg.medium,
-        damping=cfg.damping,
-        dim=dim,
-        t_end_over_trev=cfg.t_end_over_trev,
-        steps=cfg.steps,
-        theta_count=cfg.theta_count,
-        amplitude_solver=cfg.amplitude_solver,
-        force=True,
-    )
+    sub = replace(cfg, dim=dim, force=True)
     rho0 = density_from_pure(sub.initial_state.build(dim))
-    propagate = _state_propagator(sub, rho0)
     t_end = sub.t_end_over_trev * sub.t_rev
     times = np.linspace(0.0, t_end, max(2, samples))
 
@@ -412,9 +340,8 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
         f"# oracle check: {cfg.name}",
         f"# dim={dim} solver={solver_label} tolerance={_ORACLE_TOL:g}",
     ]
-    for t in times:
+    for t, candidate in zip(times, _states(sub, rho0, times)):
         reference = integrate_master(rho0, sub.medium, sub.damping, float(t))
-        candidate = propagate(float(t))
         dev = float(np.max(np.abs(candidate.elements - reference.elements)))
         devs.append(dev)
         verdict = "PASS" if dev <= _ORACLE_TOL else "FAIL"
@@ -432,8 +359,8 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
         lines.append("# closed_form vs exact (off-diagonal reported, not asserted)")
         off_mask = ~np.eye(dim, dtype=bool)
         diag_devs, off_devs = [], []
-        for t in times:
-            exact = coherence_block_solve(rho0, sub.medium, sub.damping.gamma, float(t))
+        exact_states = amplitude_exact_states(rho0, sub.medium, sub.damping.gamma, times)
+        for t, exact in zip(times, exact_states):
             closed = propagate_amplitude_damping_closed(
                 rho0, sub.medium, sub.damping.gamma, float(t)
             )

@@ -16,7 +16,6 @@ n ~ 90.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,7 +160,6 @@ def hermite_basis(dim: int, x: np.ndarray) -> np.ndarray:
 
 
 _basis_cache: dict[tuple[int, float, float, int], np.ndarray] = {}
-_basis_lock = threading.Lock()
 
 
 def _cached_basis(dim: int, grid: QuadratureGrid) -> np.ndarray:
@@ -171,10 +169,9 @@ def _cached_basis(dim: int, grid: QuadratureGrid) -> np.ndarray:
         return cached
     psi = hermite_basis(dim, grid.x)
     psi.setflags(write=False)
-    with _basis_lock:
-        if len(_basis_cache) > 32:
-            _basis_cache.clear()
-        _basis_cache[key] = psi
+    if len(_basis_cache) > 32:
+        _basis_cache.clear()
+    _basis_cache[key] = psi
     return psi
 
 

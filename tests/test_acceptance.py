@@ -18,7 +18,6 @@ from nltomo.evolve import (
     DampingSpec,
     MediumKind,
     MediumSpec,
-    amplitude_damping_factorial_variant,
     coherence_block_solve,
     integrate_master,
     propagate_amplitude_damping_closed,
@@ -47,6 +46,8 @@ from nltomo.tomography import (
     tomogram_of_density,
     uniform_thetas,
 )
+
+from conftest import amplitude_damping_factorial_variant
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 CUBIC = MediumSpec(MediumKind.CUBIC, 5.0)

@@ -10,7 +10,6 @@ from nltomo.evolve import (
     MediumKind,
     MediumSpec,
     TimeGrid,
-    amplitude_damping_factorial_variant,
     amplitude_exact_states,
     coherence_block_solve,
     integrate_master,
@@ -26,6 +25,8 @@ from nltomo.states import (
     StateKind,
     density_from_pure,
 )
+
+from conftest import amplitude_damping_factorial_variant
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 CUBIC = MediumSpec(MediumKind.CUBIC, 5.0)
@@ -284,6 +285,22 @@ def test_amplitude_exact_states_stepping_matches_per_time():
     for t, rho_step in zip(times, stepped):
         direct = coherence_block_solve(rho0, CUBIC, 0.1, float(t))
         assert np.max(np.abs(rho_step.elements - direct.elements)) < 1e-10
+
+
+def test_amplitude_exact_states_stepping_matches_per_time_at_production_size():
+    # the dim and damping rate of the cubic amplitude-damping presets, out
+    # to gamma*t = 10 over 200 steps
+    rho0 = padded_rho(dim=60, alpha_sq=5.0, p=3)
+    times = np.linspace(0.0, 100.0, 201)
+    states = amplitude_exact_states(rho0, CUBIC, 0.1, times)
+    assert iter(states) is states  # produced lazily, not held as a list
+    checked = 0
+    for t, rho_step in zip(times, states):
+        if t in (1.0, 10.0, 100.0):
+            direct = coherence_block_solve(rho0, CUBIC, 0.1, float(t))
+            assert np.max(np.abs(rho_step.elements - direct.elements)) < 1e-12
+            checked += 1
+    assert checked == 3
 
 
 def test_amplitude_exact_states_validation():

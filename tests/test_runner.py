@@ -19,13 +19,7 @@ from nltomo.errors import ValidationError
 from nltomo.evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec
 from nltomo.presets import preset_configs, preset_description, preset_names
 from nltomo.quantifiers import QuantifierRecord
-from nltomo.runner import (
-    WORKERS_ENV,
-    convergence_sweep,
-    oracle_report,
-    run_experiment,
-    worker_count,
-)
+from nltomo.runner import convergence_sweep, oracle_report, run_experiment
 from nltomo.states import InitialStateSpec, StateKind
 from nltomo.tomography import parse_dump
 
@@ -237,12 +231,15 @@ def test_run_experiment_products(tmp_path):
     assert abs(back.initial_state.alpha - cfg.initial_state.alpha) < 1e-12
 
 
-def test_run_experiment_is_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    first = run_experiment(tiny_config(tmp_path / "a", name="det"))
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    second = run_experiment(tiny_config(tmp_path / "b", name="det"))
+def test_run_experiment_is_deterministic(tmp_path):
+    extra = "out.products = quantifiers_csv,minima_report\nout.tomograms_at = 0.0,0.1\n"
+    first = run_experiment(tiny_config(tmp_path / "a", extra, name="det"))
+    second = run_experiment(tiny_config(tmp_path / "b", extra, name="det"))
     assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
+    assert first.minima_path.read_bytes() == second.minima_path.read_bytes()
+    assert len(first.dump_paths) == 2
+    for a, b in zip(first.dump_paths, second.dump_paths):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_dump_only_run_skips_the_sweep(tmp_path):
@@ -271,19 +268,6 @@ def test_truncation_check(tmp_path):
         run_experiment(ExperimentConfig(**base))
     result = run_experiment(ExperimentConfig(**base, force=True))
     assert len(result.records) == 2
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    assert worker_count() == 4
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(ValidationError, match=">= 1"):
-        worker_count()
-    monkeypatch.setenv(WORKERS_ENV, "several")
-    with pytest.raises(ValidationError, match="integer"):
-        worker_count()
-    monkeypatch.delenv(WORKERS_ENV)
-    assert worker_count() >= 1
 
 
 # --- convergence and oracle reports ---------------------------------------------
