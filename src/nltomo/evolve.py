@@ -14,9 +14,12 @@ for fixed d = n - m >= 0 gives an independent upper-bidiagonal system
     a_j = -i chi [f(j+d) - f(j)] - gamma (2j + d) / 2,
     b_j = gamma sqrt((j+d+1)(j+1)).
 
-For the Kerr medium the a_j are equally spaced in j, which collapses
-the solution into a closed binomial cascade handled analytically; for
-the cubic medium each diagonal block is exponentiated numerically.
+Wherever the a_j are equally spaced in j -- every Kerr block, and the
+population block d = 0 in either medium -- the solution collapses into
+a closed binomial cascade; the cubic blocks with d >= 1 are
+exponentiated numerically.  On a uniform time grid the blocks d >= 1
+are stepped with one propagator per block, in either medium, while
+the populations are evaluated in closed form at every time.
 Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
@@ -200,19 +203,17 @@ def propagate_phase_damping(
     return DensityMatrix(rho0.dim, rho0.elements * factor)
 
 
-# --- amplitude-damping cascade machinery -----------------------------------
+# --- amplitude-damping block propagator -------------------------------------
 
-_block_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_block_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _cascade_block(dim: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-diagonal coupling data, cached.
+def _cascade_block(dim: int, d: int) -> np.ndarray:
+    """Binomial amplitudes of block d, cached.
 
-    Returns (B, K) of shape (J, J) with J = dim - d, where
-    B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k)) is the binomial amplitude
-    coupling x_j(t) to x_{j+k}(0) and K[r, c] = c - r is the offset map
-    used to look up per-offset weights.  Entries below the diagonal of B
-    are zero.
+    Returns B of shape (J, J) with J = dim - d, where
+    B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k)) couples x_j(t) to x_{j+k}(0).
+    Entries below the diagonal are zero.
     """
     key = (dim, d)
     cached = _block_cache.get(key)
@@ -231,45 +232,66 @@ def _cascade_block(dim: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         ) - gammaln(np.maximum(K, 0) + 1.0)
     B = np.where(K >= 0, np.exp(log_b), 0.0)
     B.setflags(write=False)
-    K = np.ascontiguousarray(K)
-    K.setflags(write=False)
-    _block_cache[key] = (B, K)
-    return B, K
+    _block_cache[key] = B
+    return B
 
 
-def _amplitude_cascade(
-    rho_mat: np.ndarray,
-    phi: np.ndarray,
-    chi: float,
-    gamma: float,
-    t: float,
-    weights_for_d,
+def _block_propagator(
+    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, t: float, exact: bool
 ) -> np.ndarray:
-    """Apply the per-diagonal binomial cascade with given offset weights.
+    """exp(A_d t) for the coherence block x_j = rho_{j+d, j}.
 
-    ``weights_for_d(d, J)`` must return the length-J vector pw with
-    pw[k] multiplying the coupling from x_{j+k}(0) into x_j(t).
+    Where the diagonal a_j of A_d is equally spaced, with spacing delta,
+    the divided differences of e^{a t} telescope into powers of one
+    weight w = gamma (e^{delta t} - 1) / delta, and
+    exp(A_d t) = diag(e^{a t}) (B o w^K) with K = col - row.  That holds
+    for every Kerr block (delta = -(gamma + 2i chi d)) and for the
+    population block d = 0 in any medium (delta = -gamma).  With
+    ``exact=False`` every block takes the real weight 1 - e^{-gamma t},
+    which drops the d-dependent phase of the coherences.  The remaining
+    cubic blocks with d >= 1 go through a dense matrix exponential of
+    the bidiagonal generator.
     """
-    dim = rho_mat.shape[0]
-    out = np.empty_like(rho_mat)
-    for d in range(dim):
-        J = dim - d
-        x0 = np.array(np.diagonal(rho_mat, offset=-d))  # x_j = rho_{j+d, j}
-        B, K = _cascade_block(dim, d)
-        pw = np.asarray(weights_for_d(d, J))
-        M = B * pw[np.clip(K, 0, J - 1)]
-        y = M @ x0
-        j = np.arange(J)
-        dphi = phi[j + d] - phi[j]
-        y *= np.exp((-1j * chi * dphi - 0.5 * gamma * (2 * j + d)) * t)
-        if d == 0:
-            # the populations of a hermitian input are real; discard
-            # the accumulated roundoff in the imaginary part
-            np.fill_diagonal(out, y.real)
+    J = phi.size - d
+    j = np.arange(J)
+    a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
+    if not exact or d == 0 or medium.kind is MediumKind.KERR:
+        delta = -(gamma + 2j * medium.chi * d) if exact else -gamma
+        z = delta * t
+        if abs(z) < 1e-8:
+            # cancellation-safe small-step limit, and w = 0 when gamma = 0
+            w = gamma * t * (1.0 + z / 2.0 + z * z / 6.0)
         else:
-            out[j + d, j] = y
-            out[j, j + d] = np.conj(y)
+            w = gamma * np.expm1(z) / delta
+        offsets = np.maximum(j[None, :] - j[:, None], 0)
+        return np.exp(a * t)[:, None] * (_cascade_block(phi.size, d) * (w**j)[offsets])
+    b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
+    return expm((np.diag(a) + np.diag(b, 1)) * t)
+
+
+def _from_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """Hermitian matrix whose d-th lower diagonal is blocks[d]."""
+    dim = len(blocks)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    # the populations of a hermitian input are real; discard the
+    # accumulated roundoff in the imaginary part
+    np.fill_diagonal(out, blocks[0].real)
+    for d in range(1, dim):
+        j = np.arange(dim - d)
+        out[j + d, j] = blocks[d]
+        out[j, j + d] = np.conj(blocks[d])
     return out
+
+
+def _propagate_blocks(
+    rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float, exact: bool
+) -> DensityMatrix:
+    phi = medium.phase_exponents(rho0.dim)
+    blocks = [
+        _block_propagator(medium, phi, gamma, d, t, exact) @ np.diagonal(rho0.elements, -d)
+        for d in range(rho0.dim)
+    ]
+    return DensityMatrix(rho0.dim, _from_blocks(blocks))
 
 
 def propagate_amplitude_damping_closed(
@@ -289,95 +311,25 @@ def propagate_amplitude_damping_closed(
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
-    w = -np.expm1(-gamma * t)
-    phi = medium.phase_exponents(rho0.dim)
-
-    def weights(d: int, J: int) -> np.ndarray:
-        return w ** np.arange(J)
-
-    mat = _amplitude_cascade(rho0.elements, phi, medium.chi, gamma, t, weights)
-    return DensityMatrix(rho0.dim, mat)
-
-
-def _kerr_offset_weights(chi: float, gamma: float, t: float, d: int, J: int) -> np.ndarray:
-    """Exact per-offset weights for the Kerr cascade.
-
-    With equally spaced block eigenvalues (spacing delta_d = -(gamma +
-    2i chi d)) the divided differences of e^{a t} telescope into powers
-    of a single complex weight w_d = gamma (e^{delta_d t} - 1) / delta_d.
-    For d = 0 this reduces to the real 1 - e^{-gamma t}.
-    """
-    delta = -(gamma + 2j * chi * d)
-    z = delta * t
-    if abs(z) < 1e-8:
-        # cancellation-safe small-step limit of (e^z - 1)/delta
-        w = gamma * t * (1.0 + z / 2.0 + z * z / 6.0)
-    else:
-        w = gamma * (np.exp(z) - 1.0) / delta
-    return w ** np.arange(J)
-
-
-def _cascade_generator(dim: int, d: int, phi: np.ndarray, chi: float, gamma: float) -> np.ndarray:
-    """Upper-bidiagonal generator A_d of the coherence block x_j = rho_{j+d, j}."""
-    J = dim - d
-    j = np.arange(J, dtype=np.float64)
-    a = -1j * chi * (phi[np.arange(J) + d] - phi[np.arange(J)]) - 0.5 * gamma * (2 * j + d)
-    A = np.diag(a.astype(np.complex128))
-    if J > 1:
-        b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
-        A += np.diag(b.astype(np.complex128), 1)
-    return A
-
-
-def _populations(diag0: np.ndarray, gamma: float, t: float) -> np.ndarray:
-    """Closed-form population (d = 0) block at time t, valid in any medium."""
-    dim = diag0.size
-    n = np.arange(dim)
-    w0 = (-np.expm1(-gamma * t)) ** n
-    B, K = _cascade_block(dim, 0)
-    y0 = (B * w0[np.clip(K, 0, dim - 1)]) @ diag0
-    return y0 * np.exp(-gamma * n * t)
+    return _propagate_blocks(rho0, medium, gamma, t, exact=False)
 
 
 def coherence_block_solve(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
 ) -> DensityMatrix:
-    """Exact amplitude-damping propagation, block by coherence order.
+    """Exact amplitude-damping propagation at one time, block by coherence order.
 
-    Kerr blocks are solved in closed form (the block eigenvalues are
-    equally spaced, so the propagator is the binomial cascade with a
-    complex d-dependent weight); cubic blocks with d >= 1 go through a
-    dense matrix exponential of the bidiagonal generator.  The d = 0
-    (population) block always uses the closed form, which keeps the
-    trace preserved to round-off regardless of the medium.
+    Every block whose diagonal is equally spaced -- all Kerr blocks and
+    the population block d = 0 in either medium -- is the binomial
+    cascade with its exact weight, so the trace is preserved to
+    round-off regardless of the medium; cubic blocks with d >= 1 go
+    through a dense matrix exponential of the bidiagonal generator.
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
     if gamma == 0.0 or t == 0.0:
         return propagate_unitary(rho0, medium, t)
-    dim = rho0.dim
-    phi = medium.phase_exponents(dim)
-    chi = medium.chi
-
-    if medium.kind is MediumKind.KERR:
-        def weights(d: int, J: int) -> np.ndarray:
-            return _kerr_offset_weights(chi, gamma, t, d, J)
-
-        mat = _amplitude_cascade(rho0.elements, phi, chi, gamma, t, weights)
-        return DensityMatrix(dim, mat)
-
-    # cubic: per-diagonal matrix exponentials
-    out = np.empty_like(rho0.elements)
-    np.fill_diagonal(out, _populations(np.real(np.diagonal(rho0.elements)), gamma, t))
-    for d in range(1, dim):
-        J = dim - d
-        x0 = np.array(np.diagonal(rho0.elements, offset=-d))
-        A = _cascade_generator(dim, d, phi, chi, gamma)
-        y = expm(A * t) @ x0
-        j = np.arange(J)
-        out[j + d, j] = y
-        out[j, j + d] = np.conj(y)
-    return DensityMatrix(dim, out)
+    return _propagate_blocks(rho0, medium, gamma, t, exact=True)
 
 
 def amplitude_exact_states(
@@ -387,12 +339,12 @@ def amplitude_exact_states(
 
     ``times`` and ``gamma`` are validated on the call; the states are
     then produced lazily, one per time, and none is kept once yielded.
-    For a uniform grid of cubic-medium times the per-diagonal step
-    propagators expm(A_d * dt) are formed once and iterated, which is
-    both much cheaper and numerically tamer than exponentiating A_d * t
-    at large t; the population block is still advanced in closed form at
-    every output time.  Kerr and non-uniform cubic requests fall back to
-    the per-time exact solver.
+    On a uniform grid from t = 0, in either medium, the step propagators
+    exp(A_d dt) of the blocks d >= 1 are formed once and iterated, which
+    is both much cheaper and numerically tamer than exponentiating
+    A_d t at large t; the population block is evaluated in closed form
+    at every output time, so the trace does not drift with the number
+    of steps.  Other time lists go to :func:`coherence_block_solve`.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
@@ -410,7 +362,7 @@ def _exact_states(
         and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
         and times[0] == 0.0
     )
-    if medium.kind is not MediumKind.CUBIC or gamma == 0.0 or not uniform:
+    if gamma == 0.0 or not uniform:
         for t in times:
             yield coherence_block_solve(rho0, medium, gamma, float(t))
         return
@@ -418,22 +370,14 @@ def _exact_states(
     dim = rho0.dim
     phi = medium.phase_exponents(dim)
     dt = float(times[1] - times[0])
-    steppers = [
-        expm(_cascade_generator(dim, d, phi, medium.chi, gamma) * dt)
-        for d in range(1, dim)
-    ]
-    xs = [np.array(np.diagonal(rho0.elements, offset=-d)) for d in range(1, dim)]
-    diag0 = np.real(np.diagonal(rho0.elements))
+    steppers = [_block_propagator(medium, phi, gamma, d, dt, exact=True) for d in range(1, dim)]
+    xs = [np.diagonal(rho0.elements, -d) for d in range(1, dim)]
+    populations = np.diagonal(rho0.elements)
     for i, t in enumerate(times):
         if i > 0:
             xs = [P @ x for P, x in zip(steppers, xs)]
-        mat = np.empty_like(rho0.elements)
-        np.fill_diagonal(mat, _populations(diag0, gamma, t))
-        for d in range(1, dim):
-            j = np.arange(dim - d)
-            mat[j + d, j] = xs[d - 1]
-            mat[j, j + d] = np.conj(xs[d - 1])
-        yield DensityMatrix(dim, mat)
+        y0 = _block_propagator(medium, phi, gamma, 0, float(t), exact=True) @ populations
+        yield DensityMatrix(dim, _from_blocks([y0, *xs]))
 
 
 # --- operator-form generator and reference integrator -----------------------

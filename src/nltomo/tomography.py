@@ -31,7 +31,6 @@ __all__ = [
     "uniform_thetas",
     "conjugate_thetas",
     "hermite_basis",
-    "quadrature_basis",
     "symmetric_grid",
     "suggested_grid",
     "tomogram_of_density",
@@ -173,12 +172,6 @@ def _cached_basis(dim: int, grid: QuadratureGrid) -> np.ndarray:
         _basis_cache.clear()
     _basis_cache[key] = psi
     return psi
-
-
-def quadrature_basis(dim: int, x: float, theta: float) -> np.ndarray:
-    """Overlap vector <X, theta|n> = psi_n(x) e^{-i n theta}, n < dim."""
-    psi = hermite_basis(dim, np.array([float(x)]))[0]
-    return psi * np.exp(-1j * float(theta) * np.arange(dim))
 
 
 @dataclass(frozen=True)

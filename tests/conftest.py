@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from nltomo.evolve import _amplitude_cascade
+from nltomo.evolve import _cascade_block, _from_blocks
 from nltomo.presets import preset_names, run_preset
 
 
@@ -31,10 +31,14 @@ def amplitude_damping_factorial_variant(rho0, medium, gamma, t):
     demonstrate the violation explicitly.
     """
     w = -np.expm1(-gamma * t)
-
-    def weights(d, J):
-        k = np.arange(J)
-        return w**k * np.exp(-gammaln(k + 1.0))
-
-    phi = medium.phase_exponents(rho0.dim)
-    return _amplitude_cascade(rho0.elements, phi, medium.chi, gamma, t, weights)
+    dim = rho0.dim
+    phi = medium.phase_exponents(dim)
+    blocks = []
+    for d in range(dim):
+        j = np.arange(dim - d)
+        k = np.maximum(j[None, :] - j[:, None], 0)
+        weights = w**k * np.exp(-gammaln(k + 1.0))
+        a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
+        x0 = np.diagonal(rho0.elements, -d)
+        blocks.append(np.exp(a * t) * ((_cascade_block(dim, d) * weights) @ x0))
+    return _from_blocks(blocks)

@@ -287,20 +287,32 @@ def test_amplitude_exact_states_stepping_matches_per_time():
         assert np.max(np.abs(rho_step.elements - direct.elements)) < 1e-10
 
 
-def test_amplitude_exact_states_stepping_matches_per_time_at_production_size():
-    # the dim and damping rate of the cubic amplitude-damping presets, out
-    # to gamma*t = 10 over 200 steps
+@pytest.mark.parametrize("medium", [KERR, CUBIC], ids=["kerr", "cubic"])
+def test_amplitude_exact_states_stepping_matches_per_time_at_production_size(medium):
+    # the dim and damping rate of the cubic amplitude-damping presets, in
+    # both media, out to gamma*t = 10 over 200 steps
     rho0 = padded_rho(dim=60, alpha_sq=5.0, p=3)
     times = np.linspace(0.0, 100.0, 201)
-    states = amplitude_exact_states(rho0, CUBIC, 0.1, times)
+    states = amplitude_exact_states(rho0, medium, 0.1, times)
     assert iter(states) is states  # produced lazily, not held as a list
     checked = 0
     for t, rho_step in zip(times, states):
         if t in (1.0, 10.0, 100.0):
-            direct = coherence_block_solve(rho0, CUBIC, 0.1, float(t))
+            direct = coherence_block_solve(rho0, medium, 0.1, float(t))
             assert np.max(np.abs(rho_step.elements - direct.elements)) < 1e-12
             checked += 1
     assert checked == 3
+
+
+def test_amplitude_exact_states_stepping_keeps_trace():
+    # fig8 size: the trace holds to round-off over all 700 states of the
+    # Kerr stepper at dim 100
+    rho0 = padded_rho(dim=100, alpha_sq=40.0, p=3)
+    times = np.linspace(0.0, 0.55 * revival_time(KERR), 700)
+    drift = max(
+        abs(rho_t.trace() - 1.0) for rho_t in amplitude_exact_states(rho0, KERR, 0.05, times)
+    )
+    assert drift < 1e-13
 
 
 def test_amplitude_exact_states_validation():

@@ -12,7 +12,6 @@ from nltomo.tomography import (
     conjugate_thetas,
     hermite_basis,
     parse_dump,
-    quadrature_basis,
     suggested_grid,
     symmetric_grid,
     tomogram_of_density,
@@ -105,13 +104,6 @@ def test_hermite_stays_bounded_at_high_order():
     psi = hermite_basis(150, x)
     assert np.all(np.isfinite(psi))
     assert np.max(np.abs(psi)) < 1.0  # oscillator functions peak below 1
-
-
-def test_quadrature_basis_phases():
-    vec = quadrature_basis(5, 0.7, 0.9)
-    psi = hermite_basis(5, np.array([0.7]))[0]
-    expected = psi * np.exp(-1j * 0.9 * np.arange(5))
-    assert np.max(np.abs(vec - expected)) < 1e-15
 
 
 # --- tomograms ---------------------------------------------------------------
