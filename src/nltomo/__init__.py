@@ -42,7 +42,7 @@ from .states import (
     density_from_pure,
     ladder_expectations,
 )
-from .tomography import QuadratureGrid, Tomogram, tomogram_of_density, tomogram_of_pure
+from .tomography import QuadratureGrid, Tomogram, tomogram_of_density
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "run_experiment",
     "run_preset",
     "tomogram_of_density",
-    "tomogram_of_pure",
     "tomographic_entropy",
     "__version__",
 ]

@@ -7,10 +7,18 @@ eigenfunction in the convention where the vacuum has variance 1/2
 
     omega(x, theta) = sum_nm psi_n(x) psi_m(x) e^{-i(n-m) theta} rho_nm,
 
-a genuine probability density in x for every theta.  Hermite functions
-are generated by the normalized three-term recurrence, which stays
-bounded where the textbook H_n / sqrt(2^n n!) route overflows near
-n ~ 90.
+a genuine probability density in x for every theta.  With
+u_n = e^{-i n theta}, the rotated matrix R = u_n rho_nm u_m* is
+Hermitian because rho is: Re R is symmetric and Im R antisymmetric.
+The real quadratic form psi^T R psi sees only the symmetric part, so
+
+    omega(x, theta) = sum_nm psi_n(x) Re(R_nm) psi_m(x)
+
+is real by construction and computed in real arithmetic.
+
+Hermite functions are generated by the normalized three-term
+recurrence, which stays bounded where the textbook H_n / sqrt(2^n n!)
+route overflows near n ~ 90.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalInvariantError, ValidationError
-from .states import DensityMatrix, FockVector
+from .states import DensityMatrix
 
 __all__ = [
     "QuadratureGrid",
@@ -34,7 +42,6 @@ __all__ = [
     "symmetric_grid",
     "suggested_grid",
     "tomogram_of_density",
-    "tomogram_of_pure",
     "parse_dump",
 ]
 
@@ -43,7 +50,6 @@ TWO_PI = 2.0 * math.pi
 # one-sided tomogram mass allowed off-grid before warning / refusing
 _NORM_WARN = 1e-8
 _NORM_FAIL = 1e-4
-_IMAG_TOL = 1e-10
 _NEG_TOL = 1e-12
 
 
@@ -100,13 +106,6 @@ class QuadratureGrid:
     @property
     def n_theta(self) -> int:
         return len(self.thetas)
-
-    def theta_index(self, theta: float, tol: float = 1e-12) -> int:
-        theta = float(theta) % TWO_PI
-        for i, th in enumerate(self.thetas):
-            if abs(th - theta) <= tol:
-                return i
-        raise ValidationError(f"theta {theta} not on grid {self.thetas}")
 
 
 def symmetric_grid(x_max: float, n_x: int, thetas: tuple[float, ...]) -> QuadratureGrid:
@@ -253,38 +252,19 @@ def _check_normalization(tomo: Tomogram) -> None:
 def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
     """Tomogram of a density matrix on the given grid.
 
-    Evaluated per phase as omega(x) = Re sum_m [(G rho)(x, m) G*(x, m)]
-    with G(x, n) = psi_n(x) e^{-i n theta}; one matrix product per
-    slice.  The imaginary residue is checked against 1e-10 before being
-    discarded, and slice normalization is checked against the window.
+    One real matrix product per slice: omega(x) = sum_m (Psi Re R)(x, m)
+    Psi(x, m) with R_nm = e^{-i n theta} rho_nm e^{i m theta}.  The
+    imaginary part of R is antisymmetric and drops out of the real
+    quadratic form, so there is no imaginary residue to check; slice
+    normalization is checked against the window.
     """
     psi = _cached_basis(rho.dim, grid)
     n = np.arange(rho.dim)
     values = np.empty((grid.n_theta, grid.n_x))
-    worst_imag = 0.0
     for i, theta in enumerate(grid.thetas):
-        G = psi * np.exp(-1j * theta * n)[None, :]
-        terms = (G @ rho.elements) * G.conj()
-        omega = terms.sum(axis=1)
-        worst_imag = max(worst_imag, float(np.max(np.abs(omega.imag))))
-        values[i] = omega.real
-    if worst_imag > _IMAG_TOL:
-        raise NumericalInvariantError(
-            f"tomogram imaginary residue {worst_imag:.3e} exceeds {_IMAG_TOL:.0e}"
-        )
-    tomo = Tomogram(grid, values)
-    _check_normalization(tomo)
-    return tomo
-
-
-def tomogram_of_pure(psi_state: FockVector, grid: QuadratureGrid) -> Tomogram:
-    """Tomogram of a pure state: omega = |sum_n C_n psi_n(x) e^{-i n theta}|^2."""
-    psi = _cached_basis(psi_state.dim, grid)
-    n = np.arange(psi_state.dim)
-    values = np.empty((grid.n_theta, grid.n_x))
-    for i, theta in enumerate(grid.thetas):
-        amp = psi @ (psi_state.amplitudes * np.exp(-1j * theta * n))
-        values[i] = np.abs(amp) ** 2
+        u = np.exp(-1j * theta * n)
+        rotated = (u[:, None] * rho.elements * u.conj()[None, :]).real
+        values[i] = np.einsum("xn,xn->x", psi @ rotated, psi)
     tomo = Tomogram(grid, values)
     _check_normalization(tomo)
     return tomo
