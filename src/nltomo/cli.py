@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_oracle = sub.add_parser(
-        "oracle", help="cross-check the configured propagator against reference RK4"
+        "oracle", help="cross-check the configured propagator against a dense exp(tL) reference"
     )
     p_oracle.add_argument("config", help="path to the config file")
     p_oracle.add_argument(

@@ -16,14 +16,14 @@ for fixed d = n - m >= 0 gives an independent upper-bidiagonal system
 
 Wherever the a_j are equally spaced in j -- every Kerr block, and the
 population block d = 0 in either medium -- the solution collapses into
-a closed binomial cascade; the cubic blocks with d >= 1 are
-exponentiated numerically.  On a uniform time grid the blocks d >= 1
-are stepped with one propagator per block, in either medium, while
-the populations are evaluated in closed form at every time.
+a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
+the eigenvectors of A_d.  Either form is closed in t, so any time list
+is evaluated directly, with no stepping; a cubic block whose
+eigenvectors are ill-conditioned takes the dense matrix exponential.
 Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
-A dense superoperator integrator (:func:`integrate_master`) built from
+A dense superoperator exponential (:func:`integrate_master`) built from
 the operator-form generator is kept as an independent cross-check; it
 shares no code with the closed-form propagators.
 """
@@ -339,12 +339,9 @@ def amplitude_exact_states(
 
     ``times`` and ``gamma`` are validated on the call; the states are
     then produced lazily, one per time, and none is kept once yielded.
-    On a uniform grid from t = 0, in either medium, the step propagators
-    exp(A_d dt) of the blocks d >= 1 are formed once and iterated, which
-    is both much cheaper and numerically tamer than exponentiating
-    A_d t at large t; the population block is evaluated in closed form
-    at every output time, so the trace does not drift with the number
-    of steps.  Other time lists go to :func:`coherence_block_solve`.
+    Any time list, uniform or not, sorted or not, takes one path: each
+    coherence block is evaluated in closed form at 64 times at once by
+    :func:`_block_series`, so no round-off accumulates along the list.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
@@ -354,30 +351,62 @@ def amplitude_exact_states(
     return _exact_states(rho0, medium, _validate_gamma(gamma), times)
 
 
+_CHUNK = 64  # times per batch; at dim 100 one batch of blocks holds 5.2 MB
+_EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
+
+
+def _block_series(
+    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, times: np.ndarray, x0: np.ndarray
+) -> np.ndarray:
+    """x_d(t) = exp(A_d t) x_d(0) at every t, as a (T, J) array.
+
+    Equally spaced diagonals take the cascade of :func:`_block_propagator`
+    as x(t) = e^{t a} o (W @ C), with W[t, k] = w(t)^k and
+    C[k, j] = B[j, j+k] x_{j+k}(0), zero where j + k >= J.  Cubic blocks
+    with d >= 1 use the eigenvectors V of A_d (its eigenvalues are its
+    diagonal, distinct for gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)),
+    or the dense exponential at each time if cond_1(V) > _EIGEN_COND_MAX.
+    """
+    J = phi.size - d
+    j = np.arange(J)
+    a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
+    decay = np.exp(np.multiply.outer(times, a))
+    if d == 0 or medium.kind is MediumKind.KERR:
+        delta = -(gamma + 2j * medium.chi * d)
+        z = delta * times
+        # cancellation-safe small-step limit, and w = 0 at t = 0
+        small = gamma * times * (1.0 + z / 2.0 + z * z / 6.0)
+        w = np.where(np.abs(z) < 1e-8, small, gamma * np.expm1(z) / delta)
+        padded = np.zeros((J, 2 * J), dtype=np.complex128)
+        np.multiply(_cascade_block(phi.size, d), x0, out=padded[:, :J])
+        # C[k, j] = padded[j, j + k]; the zero half supplies j + k >= J
+        C = padded.reshape(-1)[j * (2 * J + 1) + j[:, None]]
+        return decay * (np.vander(w, J, increasing=True) @ C)
+    b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
+    # unit-diagonal eigenvectors: column i solves (A_d - a_i) v = 0
+    V = np.eye(J, dtype=np.complex128)
+    for k in range(J - 2, -1, -1):
+        V[k, k + 1 :] = -b[k] * V[k + 1, k + 1 :] / (a[k] - a[k + 1 :])
+    V_inv = np.linalg.inv(V)
+    if np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1) <= _EIGEN_COND_MAX:
+        return (decay * (V_inv @ x0)) @ V.T
+    # ill-conditioned, or overflowed to nan: the dense exponential per time
+    return np.array([_block_propagator(medium, phi, gamma, d, t, exact=True) @ x0 for t in times])
+
+
 def _exact_states(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
 ) -> Iterator[DensityMatrix]:
-    uniform = (
-        times.size >= 3
-        and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
-        and times[0] == 0.0
-    )
-    if gamma == 0.0 or not uniform:
-        for t in times:
-            yield coherence_block_solve(rho0, medium, gamma, float(t))
+    if gamma == 0.0:
+        yield from (propagate_unitary(rho0, medium, t) for t in times)
         return
-
-    dim = rho0.dim
-    phi = medium.phase_exponents(dim)
-    dt = float(times[1] - times[0])
-    steppers = [_block_propagator(medium, phi, gamma, d, dt, exact=True) for d in range(1, dim)]
-    xs = [np.diagonal(rho0.elements, -d) for d in range(1, dim)]
-    populations = np.diagonal(rho0.elements)
-    for i, t in enumerate(times):
-        if i > 0:
-            xs = [P @ x for P, x in zip(steppers, xs)]
-        y0 = _block_propagator(medium, phi, gamma, 0, float(t), exact=True) @ populations
-        yield DensityMatrix(dim, _from_blocks([y0, *xs]))
+    phi = medium.phase_exponents(rho0.dim)
+    x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
+    for start in range(0, times.size, _CHUNK):
+        chunk = times[start : start + _CHUNK]
+        blocks = [_block_series(medium, phi, gamma, d, chunk, x) for d, x in enumerate(x0)]
+        for i in range(chunk.size):
+            yield DensityMatrix(rho0.dim, _from_blocks([Y[i] for Y in blocks]))
 
 
 # --- operator-form generator and reference integrator -----------------------
@@ -433,45 +462,20 @@ def _liouvillian_matrix(dim: int, medium: MediumSpec, damping: DampingSpec) -> n
 
 
 _INTEGRATE_DIM_CAP = 40
-
-
-def _auto_substeps(dim: int, medium: MediumSpec, damping: DampingSpec, t: float) -> int:
-    """Step count from the stiffest generator eigenvalue.
-
-    The local truncation error of a fourth-order step of size h on a
-    mode with rate lambda is ~ (h |lambda|)^5 / 120 per step, i.e.
-    ~ t |lambda|^5 h^4 / 120 accumulated; h is chosen to push that below
-    3e-11 while staying inside the stability region on the imaginary
-    axis (|h lambda| <= 1.5).
-    """
-    phi = medium.phase_exponents(dim)
-    rate = medium.chi * float(phi[-1] - phi[0])
-    if damping.channel is DampingChannel.AMPLITUDE:
-        rate += damping.gamma * dim
-    elif damping.channel is DampingChannel.PHASE:
-        rate += 0.5 * damping.gamma * (dim - 1) ** 2
-    rate = max(rate, 1e-12)
-    h_stab = 1.5 / rate
-    h_acc = (3e-11 * 120.0 / (max(t, 1e-300) * rate**5)) ** 0.25
-    return max(4, int(math.ceil(t / min(h_stab, h_acc))))
+_TAYLOR_DEGREE = 18
 
 
 def integrate_master(
-    rho0: DensityMatrix,
-    medium: MediumSpec,
-    damping: DampingSpec,
-    t: float,
-    substeps: int | None = None,
+    rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec, t: float
 ) -> DensityMatrix:
-    """Reference fixed-step RK4 integration of the full master equation.
+    """Reference integration of the full master equation, exp(t L) rho0.
 
-    The generator is assembled as a dense superoperator, so this costs
-    O(dim^6) per step batch and is capped at dim <= 40: it exists to
-    cross-check the production propagators, not to replace them.  For a
-    linear autonomous system the classical RK4 step equals the degree-4
-    Taylor polynomial of exp(h L); the fixed-step iteration is applied
-    through binary powering of that one-step matrix, which reproduces
-    the sequential result to round-off.
+    The generator is assembled as a dense superoperator L, so this costs
+    O(dim^6) and is capped at dim <= 40: it exists to cross-check the
+    production propagators, not to replace them.  exp(t L) is taken by
+    scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)):
+    the degree-18 Taylor polynomial of exp(t L / 2^s), with
+    s = ceil(log2 ||t L||_1), is squared s times.  It is numpy alone.
     """
     t = _validate_time(t)
     if rho0.dim > _INTEGRATE_DIM_CAP:
@@ -481,24 +485,20 @@ def integrate_master(
         )
     if t == 0.0:
         return DensityMatrix(rho0.dim, rho0.elements.copy())
-    if substeps is None:
-        substeps = _auto_substeps(rho0.dim, medium, damping, t)
-    if substeps < 1:
-        raise ValidationError(f"substeps must be >= 1, got {substeps}")
     dim = rho0.dim
-    L = _liouvillian_matrix(dim, medium, damping)
-    h = t / substeps
+    tL = t * _liouvillian_matrix(dim, medium, damping)
+    norm = float(np.linalg.norm(tL, 1))
+    s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    X = tL / 2.0**s
     eye = np.eye(dim * dim, dtype=np.complex128)
-    hL = h * L
-    step = eye + hL @ (eye + hL @ (eye / 2.0 + hL @ (eye / 6.0 + hL / 24.0)))
-    total = np.linalg.matrix_power(step, substeps)
-    vec = total @ rho0.elements.reshape(-1)
-    mat = vec.reshape(dim, dim)
+    total = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        total = eye + (X @ total) / k
+    for _ in range(s):
+        total = total @ total
+    mat = (total @ rho0.elements.reshape(-1)).reshape(dim, dim)
     mat = 0.5 * (mat + mat.conj().T)
     drift = abs(float(np.trace(mat).real) - 1.0)
     if drift > 1e-10:
-        raise NumericalInvariantError(
-            f"reference integrator trace drift {drift:.3e} exceeds 1e-10; "
-            "increase substeps"
-        )
+        raise NumericalInvariantError(f"reference integrator trace drift {drift:.3e} exceeds 1e-10")
     return DensityMatrix(dim, mat)

@@ -316,7 +316,7 @@ _ORACLE_TOL = 1e-8
 
 
 def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
-    """Cross-check the configured propagator against the reference RK4.
+    """Cross-check the configured propagator against the reference exp(t L).
 
     The dense superoperator integrator scales as O(dim^6), so the check
     runs at dim = min(sim.dim, 15); the closed forms being verified are

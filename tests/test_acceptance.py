@@ -257,8 +257,8 @@ def test_criterion_06_entropy_bound_across_presets(preset_results):
 
 
 def test_criterion_07_trace_preservation_across_presets(preset_results):
-    """|trace - 1| < 1e-10 for every record of every preset, and for the RK4
-    reference integrator on matching small-dimension problems."""
+    """|trace - 1| < 1e-10 for every record of every preset, and for the
+    reference exponential on matching small-dimension problems."""
     worst = 0.0
     n_records = 0
     for runs in preset_results.values():
@@ -270,7 +270,7 @@ def test_criterion_07_trace_preservation_across_presets(preset_results):
     assert worst < 1e-10
 
     rho = added_rho(3.0, 15, p=2)
-    worst_rk4 = 0.0
+    worst_ref = 0.0
     for medium in (KERR, CUBIC):
         for damping in (
             DampingSpec(DampingChannel.NONE, 0.0),
@@ -278,9 +278,9 @@ def test_criterion_07_trace_preservation_across_presets(preset_results):
             DampingSpec(DampingChannel.PHASE, 0.25),
         ):
             out = integrate_master(rho, medium, damping, 0.2)
-            worst_rk4 = max(worst_rk4, abs(out.trace() - 1.0))
-    print(f"RK4 reference: max |trace - 1| = {worst_rk4:.3e}")
-    assert worst_rk4 < 1e-10
+            worst_ref = max(worst_ref, abs(out.trace() - 1.0))
+    print(f"reference exponential: max |trace - 1| = {worst_ref:.3e}")
+    assert worst_ref < 1e-10
 
 
 def test_criterion_08_phase_damping_structure():
@@ -335,7 +335,7 @@ def test_criterion_10_phase_damping_saturation():
 
 
 def test_criterion_11_oracle_equivalence():
-    """At dim=15 every fast propagator matches the RK4 reference within 1e-8
+    """At dim=15 every fast propagator matches the reference exponential within 1e-8
     element-wise (the diagonal-only closed form on its diagonal), while the
     printed-variant amplitude map with the extra 1/k! weight breaks trace by
     more than 1e-2 on |2><2| at gamma*t = 1."""

@@ -1,12 +1,15 @@
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nltomo.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 from nltomo.config import (
+    _KNOWN_KEYS,
     AmplitudeSolver,
     ExperimentConfig,
     Product,
@@ -89,6 +92,29 @@ def test_config_defaults():
     assert cfg.x_max is None and cfg.n_x is None
     assert cfg.name == "run"
     assert not cfg.force
+
+
+REQUIRED_ONLY = """\
+state.kind = coherent
+state.alpha_sq = 2.0
+medium.kind = kerr
+sim.dim = 25
+"""
+
+
+def test_readme_config_table_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|.*\| (.+) \|$", readme, re.M)
+    assert {key for key, _ in rows} == _KNOWN_KEYS
+    base = config_from_text(REQUIRED_ONLY)
+    # the parser's defaults are the dataclass defaults
+    assert base == ExperimentConfig(
+        initial_state=base.initial_state, medium=base.medium, damping=base.damping, dim=25
+    )
+    literal = [(key, default.strip("`")) for key, default in rows if default.startswith("`")]
+    assert len(literal) == 12
+    for key, value in literal:
+        assert config_from_text(REQUIRED_ONLY + f"{key} = {value}\n") == base, key
 
 
 def test_config_alpha_reconstruction():
@@ -344,6 +370,16 @@ def test_oracle_report_flags_closed_form(tmp_path):
     assert not report.passed
     assert max(report.deviations) > 1e-3
     assert "FAIL" in report.text
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig12", "fig13", "fig14"])
+def test_oracle_report_passes_on_amplitude_presets(preset):
+    # cubic and Kerr amplitude damping, fig4, fig13 and fig14 out to
+    # gamma*t = 10: the reference keeps its trace to 1e-10 and matches
+    # the production states to 1e-8
+    report = oracle_report(preset_configs(preset)[0])
+    assert report.passed
+    assert "# overall: PASS" in report.text
 
 
 # --- presets ---------------------------------------------------------------------
