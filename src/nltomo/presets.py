@@ -20,7 +20,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from .config import AmplitudeSolver, ExperimentConfig, Product
+from .config import ExperimentConfig, Product
 from .errors import ValidationError
 from .evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec
 from .runner import RunResult, run_experiment

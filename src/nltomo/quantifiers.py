@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import NumericalInvariantError, ValidationError
 from .states import DensityMatrix, ladder_expectations
@@ -206,8 +205,11 @@ def find_local_minima(
 ) -> list[float]:
     """Times of interior local minima with at least the given prominence.
 
-    Thin wrapper over scipy.signal.find_peaks on the negated series;
-    endpoints are never reported.
+    The rules of ``scipy.signal.find_peaks(-values, prominence=...)``: a
+    minimum is a run of equal samples with higher neighbours on both sides,
+    taken at its midpoint rounded down, so endpoints never count.  Its
+    prominence is measured to the lower of the two highest samples met on
+    each side before a lower one, with no window limit.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -215,8 +217,21 @@ def find_local_minima(
         raise ValidationError("times and values must be matching 1-D arrays")
     if not math.isfinite(prominence) or prominence <= 0:
         raise ValidationError(f"prominence must be > 0, got {prominence!r}")
-    idx, _ = find_peaks(-values, prominence=prominence)
-    return [float(times[i]) for i in idx]
+    n = values.size
+    # maximal runs of equal samples, from starts to ends inclusive
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    inner = (starts > 0) & (ends < n - 1)
+    starts, ends = starts[inner], ends[inner]
+    dip = (values[starts - 1] > values[starts]) & (values[ends + 1] > values[ends])
+    hits = []
+    for i in (starts[dip] + ends[dip]) // 2:
+        lower = np.flatnonzero(~(values >= values[i]))  # a nan ends a side too
+        lo = lower[lower < i].max(initial=-1) + 1
+        hi = lower[lower > i].min(initial=n)
+        if min(values[lo : i + 1].max(), values[i:hi].max()) - values[i] >= prominence:
+            hits.append(float(times[i]))
+    return hits
 
 
 @dataclass(frozen=True)

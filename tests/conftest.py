@@ -41,4 +41,4 @@ def amplitude_damping_factorial_variant(rho0, medium, gamma, t):
         a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
         x0 = np.diagonal(rho0.elements, -d)
         blocks.append(np.exp(a * t) * ((_cascade_block(dim, d) * weights) @ x0))
-    return _from_blocks(blocks)
+    return _from_blocks(np.concatenate(blocks), dim)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from nltomo.errors import ValidationError
 from nltomo.evolve import (
@@ -196,6 +197,39 @@ def test_find_local_minima_excludes_endpoints():
         find_local_minima(t, v[:-1])
     with pytest.raises(ValidationError):
         find_local_minima(t, v, prominence=0.0)
+
+
+def _noise(rng, n):
+    return rng.standard_normal(n)
+
+
+def _small_integers(rng, n):  # long plateaus, ties between distant samples
+    return rng.integers(0, 4, n).astype(np.float64)
+
+
+def _rounded_cosine(rng, n):  # flat tops and bottoms of varying width
+    t = np.linspace(0.0, 1.0, n)
+    return np.round(np.cos(rng.uniform(1.0, 30.0) * t + rng.uniform(0.0, 2.0 * math.pi)), 2)
+
+
+def _repeated_runs(rng, n):
+    levels = rng.standard_normal(n // 4 + 1)
+    return np.repeat(levels, rng.integers(1, 5, levels.size))
+
+
+@pytest.mark.parametrize("series", [_noise, _small_integers, _rounded_cosine, _repeated_runs])
+def test_find_local_minima_matches_find_peaks(series):
+    # same indices as scipy.signal.find_peaks on the negated series, with
+    # its plateau-midpoint and unwindowed prominence rules
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        v = series(rng, int(rng.integers(0, 200)))
+        # log-uniform over [1e-3, 1], and exactly 1 one time in seven, which
+        # the small-integer series meet with equality
+        prominence = float(10.0 ** min(rng.uniform(-3.0, 0.5), 0.0))
+        t = np.arange(v.size, dtype=np.float64)
+        expected, _ = scipy.signal.find_peaks(-v, prominence=prominence)
+        assert find_local_minima(t, v, prominence) == t[expected].tolist()
 
 
 # --- record builder --------------------------------------------------------------

@@ -492,3 +492,20 @@ def test_cli_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "fig1" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_signal():
+    # a fresh interpreter, so that modules other tests import do not count
+    probe = (
+        "import sys, nltomo.cli; "
+        "print('\\n'.join(m for m in sys.modules "
+        "if m.startswith(('scipy.linalg', 'scipy.signal'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split() == []
