@@ -262,6 +262,8 @@ def config_from_text(text: str, default_name: str = "run") -> ExperimentConfig:
     if alpha_sq < 0:
         raise ValidationError(f"state.alpha_sq must be >= 0, got {alpha_sq}")
     delta = _parse_float(kv, "state.delta", 0.0)
+    if not math.isfinite(delta):
+        raise ValidationError(f"state.delta must be finite, got {delta}")
     p = _parse_int(kv, "state.p", 0)
     if kind is not StateKind.PHOTON_ADDED and "state.p" in kv:
         raise ValidationError("state.p is only valid for state.kind = photon_added")

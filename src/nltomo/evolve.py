@@ -36,10 +36,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalInvariantError, ValidationError
-from .states import DensityMatrix
+from .states import DensityMatrix, log_factorials
 
 __all__ = [
     "MediumKind",
@@ -248,13 +247,10 @@ def _cascade_block(dim: int, d: int) -> np.ndarray:
     row = np.arange(J, dtype=np.int64)[:, None]
     col = np.arange(J, dtype=np.int64)[None, :]
     K = col - row
-    with np.errstate(invalid="ignore"):
-        log_b = 0.5 * (
-            gammaln(col + d + 1.0)
-            - gammaln(row + d + 1.0)
-            + gammaln(col + 1.0)
-            - gammaln(row + 1.0)
-        ) - gammaln(np.maximum(K, 0) + 1.0)
+    log_fact = log_factorials(dim)
+    log_b = 0.5 * (
+        log_fact[col + d] - log_fact[row + d] + log_fact[col] - log_fact[row]
+    ) - log_fact[np.maximum(K, 0)]
     B = np.where(K >= 0, np.exp(log_b), 0.0)
     B.setflags(write=False)
     _block_cache[key] = B

@@ -323,11 +323,13 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
     dimension-agnostic elementwise recurrences, which makes the reduced
     dimension a faithful probe of their correctness.
     """
+    if samples < 2:
+        raise ValidationError(f"oracle needs samples >= 2, got {samples}")
     dim = min(cfg.dim, _ORACLE_DIM_CAP)
     sub = replace(cfg, dim=dim, force=True)
     rho0 = density_from_pure(sub.initial_state.build(dim))
     t_end = sub.t_end_over_trev * sub.t_rev
-    times = np.linspace(0.0, t_end, max(2, samples))
+    times = np.linspace(0.0, t_end, samples)
 
     solver_label = {
         DampingChannel.NONE: "unitary",

@@ -1,8 +1,8 @@
 """Construction of bosonic states in a truncated Fock basis.
 
 All states live in the finite basis {|0>, ..., |dim-1>}.  Amplitude
-patterns involving factorials are evaluated in log space through
-``scipy.special.gammaln``, so field strengths up to |alpha|^2 ~ 40 at
+patterns involving factorials are evaluated in log space through the
+table :func:`log_factorials`, so field strengths up to |alpha|^2 ~ 40 at
 dimensions of a few hundred stay well inside double-precision range.
 After truncation every vector is renormalized; the discarded tail can be
 inspected with :func:`tail_mass`.
@@ -11,11 +11,11 @@ inspected with :func:`tail_mass`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalInvariantError, ValidationError
 
@@ -38,6 +38,55 @@ __all__ = [
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
+
+
+# Stirling-series coefficients of the cephes ``lgam`` routine
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _log_factorial(k: int) -> float:
+    """log k! by the steps of cephes ``lgam`` at x = k + 1.
+
+    Same branches, constants and operation order in double precision, so
+    the result equals ``scipy.special.gammaln(k + 1.0)`` bit for bit.
+    """
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(k))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    poly = 0.0
+    for c in _LGAM_A:
+        poly = poly * p + c
+    return q + poly / x
+
+
+_log_factorial_table = np.zeros(0)
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """Read-only array of log k! for k = 0, ..., n-1.
+
+    One table, grown on demand and shared by every caller.
+    """
+    global _log_factorial_table
+    if n > _log_factorial_table.size:
+        table = np.array([_log_factorial(k) for k in range(n)])
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return _log_factorial_table[:n]
 
 
 class StateKind(enum.Enum):
@@ -196,7 +245,7 @@ def coherent_coefficients(alpha: complex, dim: int) -> FockVector:
         return FockVector(dim, amps)
     r = abs(alpha)
     phase = np.exp(1j * np.angle(alpha) * n)
-    log_mag = n * np.log(r) - 0.5 * gammaln(n + 1.0)
+    log_mag = n * np.log(r) - 0.5 * log_factorials(dim)
     return FockVector(dim, _normalized_vector(log_mag, phase))
 
 
@@ -225,8 +274,9 @@ def photon_added_coefficients(alpha: complex, p: int, dim: int) -> FockVector:
     k = n - p
     log_mag = np.full(dim, -np.inf)
     valid = n >= p
+    log_fact = log_factorials(dim)
     log_mag[valid] = (
-        k[valid] * np.log(r) + 0.5 * gammaln(n[valid] + 1.0) - gammaln(k[valid] + 1.0)
+        k[valid] * np.log(r) + 0.5 * log_fact[n[valid]] - log_fact[k[valid]]
     )
     phases = np.where(valid, np.exp(1j * np.angle(alpha) * np.where(valid, k, 0)), 0.0)
     return FockVector(dim, _normalized_vector(log_mag, phases))
@@ -247,7 +297,7 @@ def even_coherent_coefficients(alpha: complex, dim: int) -> FockVector:
         amps[0] = 1.0
         return FockVector(dim, amps)
     r = abs(alpha)
-    log_mag = np.where(n % 2 == 0, n * np.log(r) - 0.5 * gammaln(n + 1.0), -np.inf)
+    log_mag = np.where(n % 2 == 0, n * np.log(r) - 0.5 * log_factorials(dim), -np.inf)
     phases = np.where(n % 2 == 0, np.exp(1j * np.angle(alpha) * n), 0.0)
     return FockVector(dim, _normalized_vector(log_mag, phases))
 

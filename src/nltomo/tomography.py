@@ -201,14 +201,18 @@ class Tomogram:
         return np.trapezoid(self.values, self.grid.x, axis=1)
 
     def to_dump_text(self) -> str:
-        lines = ["# theta x omega"]
-        x = self.grid.x
-        for i, theta in enumerate(self.grid.thetas):
-            row = self.values[i]
+        x_txt = ["%.9g" % x for x in self.grid.x.tolist()]
+        # joined slice by slice: one flat list of every line holds ~2 MB of
+        # small strings per dump, which are freed and page-faulted back each time
+        blocks = ["# theta x omega"]
+        for theta, row in zip(self.grid.thetas, self.values):
             theta_txt = "%.9g" % theta
-            for j in range(self.grid.n_x):
-                lines.append(f"{theta_txt} {'%.9g' % x[j]} {'%.12g' % row[j]}")
-        return "\n".join(lines) + "\n"
+            blocks.append(
+                "\n".join(
+                    f"{theta_txt} {xt} {'%.12g' % v}" for xt, v in zip(x_txt, row.tolist())
+                )
+            )
+        return "\n".join(blocks) + "\n"
 
     def write_dump(self, path: str | Path) -> Path:
         path = Path(path)

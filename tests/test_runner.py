@@ -155,6 +155,9 @@ def test_config_bad_values():
         config_from_text(BASE_TEXT + "medium.chi = 5\nsolver.amplitude = magic\n")
     with pytest.raises(ValidationError, match="out.products"):
         config_from_text(BASE_TEXT + "out.products = quantifiers_csv,plots\n")
+    for delta in ("inf", "-inf"):
+        with pytest.raises(ValidationError, match="state.delta must be finite"):
+            config_from_text(BASE_TEXT.replace("0.7853981633974483", delta))
 
 
 def test_config_tomograms_at():
@@ -434,6 +437,10 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert main(["run", str(path)]) == EXIT_VALIDATION
     assert "unknown key" in capsys.readouterr().err
 
+    path.write_text(BASE_TEXT.replace("0.7853981633974483", "inf"))
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "state.delta must be finite" in capsys.readouterr().err
+
 
 def test_cli_preset_list(capsys):
     assert main(["preset", "--list"]) == EXIT_OK
@@ -482,6 +489,10 @@ def test_cli_oracle_exit_codes(tmp_path, capsys):
     assert main(["oracle", str(closed), "--samples", "4"]) == EXIT_INVARIANT
     assert "# overall: FAIL" in capsys.readouterr().out
 
+    for samples in ("1", "0", "-3"):
+        assert main(["oracle", str(exact), "--samples", samples]) == EXIT_VALIDATION
+        assert "samples >= 2" in capsys.readouterr().err
+
 
 def test_cli_module_entry_point():
     proc = subprocess.run(
@@ -494,12 +505,12 @@ def test_cli_module_entry_point():
     assert "fig1" in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_signal():
+def test_cli_import_leaves_out_scipy():
     # a fresh interpreter, so that modules other tests import do not count
     probe = (
         "import sys, nltomo.cli; "
         "print('\\n'.join(m for m in sys.modules "
-        "if m.startswith(('scipy.linalg', 'scipy.signal'))))"
+        "if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from nltomo.errors import NumericalInvariantError, ValidationError
 from nltomo.states import (
@@ -15,6 +16,7 @@ from nltomo.states import (
     even_coherent_coefficients,
     ladder_expectations,
     laguerre_value,
+    log_factorials,
     photon_added_coefficients,
     tail_mass,
 )
@@ -32,6 +34,16 @@ def test_coherent_matches_direct_formula():
     )
     direct /= np.linalg.norm(direct)
     assert np.max(np.abs(state.amplitudes - direct)) < 1e-13
+
+
+def test_log_factorials_equal_gammaln_bit_for_bit():
+    # k = 0..2000 spans all three branches of cephes lgam: x = k + 1 < 13,
+    # 13 <= x < 1000 and x >= 1000
+    table = log_factorials(2001)
+    reference = gammaln(np.arange(2001) + 1.0)
+    assert np.array_equal(table, reference)
+    assert not table.flags.writeable
+    assert np.array_equal(log_factorials(5), table[:5])
 
 
 def test_builders_are_normalized():
