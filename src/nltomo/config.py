@@ -344,24 +344,24 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     state = cfg.initial_state
     lines = [
         f"state.kind = {state.kind.value}",
-        f"state.alpha_sq = {abs(state.alpha) ** 2:.12g}",
-        f"state.delta = {math.atan2(state.alpha.imag, state.alpha.real):.12g}",
+        f"state.alpha_sq = {abs(state.alpha) ** 2!r}",
+        f"state.delta = {math.atan2(state.alpha.imag, state.alpha.real)!r}",
     ]
     if state.kind is StateKind.PHOTON_ADDED:
         lines.append(f"state.p = {state.p}")
     lines += [
         f"medium.kind = {cfg.medium.kind.value}",
-        f"medium.chi = {cfg.medium.chi:.12g}",
+        f"medium.chi = {cfg.medium.chi!r}",
         f"damping.channel = {cfg.damping.channel.value}",
-        f"damping.gamma = {cfg.damping.gamma:.12g}",
+        f"damping.gamma = {cfg.damping.gamma!r}",
         f"sim.dim = {cfg.dim}",
-        f"sim.t_end_over_trev = {cfg.t_end_over_trev:.12g}",
+        f"sim.t_end_over_trev = {cfg.t_end_over_trev!r}",
         f"sim.steps = {cfg.steps}",
     ]
     if cfg.force:
         lines.append("sim.force = true")
     if cfg.x_max is not None:
-        lines.append(f"grid.x_max = {cfg.x_max:.12g}")
+        lines.append(f"grid.x_max = {cfg.x_max!r}")
         lines.append(f"grid.n_x = {cfg.n_x}")
     lines.append(f"grid.theta_count = {cfg.theta_count}")
     lines.append(f"solver.amplitude = {cfg.amplitude_solver.value}")
@@ -373,7 +373,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     )
     if cfg.tomograms_at:
         lines.append(
-            "out.tomograms_at = " + ",".join("%.12g" % v for v in cfg.tomograms_at)
+            "out.tomograms_at = " + ",".join(repr(v) for v in cfg.tomograms_at)
         )
-    lines.append(f"out.minima_prominence = {cfg.minima_prominence:.12g}")
+    lines.append(f"out.minima_prominence = {cfg.minima_prominence!r}")
     return "\n".join(lines) + "\n"

@@ -20,12 +20,15 @@ a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
 the eigenvectors of A_d.  Either form is closed in t, so any time list
 is evaluated directly, with no stepping; a cubic block whose
 eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
-Phase damping (dephasing) multiplies each element by
-exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
+The closed-form solver is the same cascade with the weight of the
+population block on every diagonal.  Phase damping (dephasing)
+multiplies each element by exp(-gamma (n-m)^2 t / 2) and commutes with
+the unitary part.
 
-A dense superoperator exponential (:func:`integrate_master`) is kept as a
-cross-check; it shares :func:`expm` with the per-time cubic blocks and no
-code with the batched path that sweeps and dumps take.
+Two references share only the generator, :func:`expm` and the block
+assembly with the batched path that sweeps and dumps take: the dense
+exponential of each block at one time (:func:`coherence_block_solve`)
+and of the full superoperator (:func:`integrate_master`).
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def propagate_phase_damping(
     return DensityMatrix(rho0.dim, rho0.elements * factor)
 
 
-# --- amplitude-damping block propagator -------------------------------------
+# --- amplitude-damping blocks -----------------------------------------------
 
 _TAYLOR_DEGREE = 18
 
@@ -257,37 +260,14 @@ def _cascade_block(dim: int, d: int) -> np.ndarray:
     return B
 
 
-def _block_propagator(
-    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, t: float, exact: bool
-) -> np.ndarray:
-    """exp(A_d t) for the coherence block x_j = rho_{j+d, j}.
-
-    Where the diagonal a_j of A_d is equally spaced, with spacing delta,
-    the divided differences of e^{a t} telescope into powers of one
-    weight w = gamma (e^{delta t} - 1) / delta, and
-    exp(A_d t) = diag(e^{a t}) (B o w^K) with K = col - row.  That holds
-    for every Kerr block (delta = -(gamma + 2i chi d)) and for the
-    population block d = 0 in any medium (delta = -gamma).  With
-    ``exact=False`` every block takes the real weight 1 - e^{-gamma t},
-    which drops the d-dependent phase of the coherences.  The remaining
-    cubic blocks with d >= 1 go through :func:`expm` of the bidiagonal
-    generator.
-    """
-    J = phi.size - d
-    j = np.arange(J)
+def _block_generator(
+    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal a and superdiagonal b of the generator A_d of block d."""
+    j = np.arange(phi.size - d)
     a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
-    if not exact or d == 0 or medium.kind is MediumKind.KERR:
-        delta = -(gamma + 2j * medium.chi * d) if exact else -gamma
-        z = delta * t
-        if abs(z) < 1e-8:
-            # cancellation-safe small-step limit, and w = 0 when gamma = 0
-            w = gamma * t * (1.0 + z / 2.0 + z * z / 6.0)
-        else:
-            w = gamma * np.expm1(z) / delta
-        offsets = np.maximum(j[None, :] - j[:, None], 0)
-        return np.exp(a * t)[:, None] * (_cascade_block(phi.size, d) * (w**j)[offsets])
     b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
-    return expm((np.diag(a) + np.diag(b, 1)) * t)
+    return a, b
 
 
 def _from_blocks(packed: np.ndarray, dim: int) -> np.ndarray:
@@ -304,17 +284,6 @@ def _from_blocks(packed: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _propagate_blocks(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float, exact: bool
-) -> DensityMatrix:
-    phi = medium.phase_exponents(rho0.dim)
-    blocks = [
-        _block_propagator(medium, phi, gamma, d, t, exact) @ np.diagonal(rho0.elements, -d)
-        for d in range(rho0.dim)
-    ]
-    return DensityMatrix(rho0.dim, _from_blocks(np.concatenate(blocks), rho0.dim))
-
-
 def propagate_amplitude_damping_closed(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
 ) -> DensityMatrix:
@@ -327,30 +296,36 @@ def propagate_amplitude_damping_closed(
     The weight w is exact for the populations (d = 0) in any medium and
     for every diagonal when chi = 0; with chi > 0 the off-diagonal
     weights acquire a d-dependent phase that this form ignores, which is
-    why :func:`coherence_block_solve` exists.  Trace is preserved by
-    construction.
+    why :func:`amplitude_exact_states` exists.  Trace is preserved by
+    construction.  This is one time of the batched cascade that a
+    ``solver.amplitude = closed_form`` sweep takes.
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
-    return _propagate_blocks(rho0, medium, gamma, t, exact=False)
+    return next(_amplitude_states(rho0, medium, gamma, np.array([t]), exact=False))
 
 
 def coherence_block_solve(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
 ) -> DensityMatrix:
-    """Exact amplitude-damping propagation at one time, block by coherence order.
+    """Exact amplitude-damping propagation at one time: the dense reference.
 
-    Every block whose diagonal is equally spaced -- all Kerr blocks and
-    the population block d = 0 in either medium -- is the binomial
-    cascade with its exact weight, so the trace is preserved to
-    round-off regardless of the medium; cubic blocks with d >= 1 go
-    through a dense matrix exponential of the bidiagonal generator.
+    Each coherence block d is propagated as exp(A_d t) x_d(0) by the
+    dense exponential of its bidiagonal generator, in either medium.  It
+    shares no cascade and no eigenbasis with :func:`amplitude_exact_states`,
+    which it cross-checks; it costs about 0.2 s per call at dim 100 in
+    the Kerr medium, so for many times use :func:`amplitude_exact_states`.
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
     if gamma == 0.0 or t == 0.0:
         return propagate_unitary(rho0, medium, t)
-    return _propagate_blocks(rho0, medium, gamma, t, exact=True)
+    phi = medium.phase_exponents(rho0.dim)
+    blocks = []
+    for d in range(rho0.dim):
+        a, b = _block_generator(medium, phi, gamma, d)
+        blocks.append(expm((np.diag(a) + np.diag(b, 1)) * t) @ np.diagonal(rho0.elements, -d))
+    return DensityMatrix(rho0.dim, _from_blocks(np.concatenate(blocks), rho0.dim))
 
 
 def amplitude_exact_states(
@@ -369,7 +344,7 @@ def amplitude_exact_states(
         raise ValidationError("times must be a non-empty 1-D array")
     if np.any(times < 0) or not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite and >= 0")
-    return _exact_states(rho0, medium, _validate_gamma(gamma), times)
+    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times, exact=True)
 
 
 _CHUNK = 64  # times per batch; at dim 100: 5.2 MB of blocks, and 5.4 MB of C or V per call
@@ -377,36 +352,39 @@ _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
 
 
 def _block_series(
-    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray
+    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray, exact: bool
 ) -> Callable[[np.ndarray], np.ndarray]:
     """times -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array; built once per block.
 
-    Equally spaced diagonals take the cascade of :func:`_block_propagator`
-    as x(t) = e^{t a} o (W @ C), with W[t, k] = w(t)^k and
-    C[k, j] = B[j, j+k] x_{j+k}(0), zero where j + k >= J.  Cubic blocks
-    with d >= 1 use the eigenvectors V of A_d (its eigenvalues are its
-    diagonal, distinct for gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)),
-    or the dense exponential at each time if cond_1(V) > _EIGEN_COND_MAX.
+    Where the diagonal a of A_d is equally spaced, with spacing delta,
+    the divided differences of e^{a t} telescope into powers of one
+    weight w = gamma (e^{delta t} - 1) / delta, and x(t) = e^{t a} o (W @ C)
+    with W[t, k] = w(t)^k and C[k, j] = B[j, j+k] x_{j+k}(0), zero where
+    j + k >= J (B from :func:`_cascade_block`).  That holds for every
+    Kerr block (delta = -(gamma + 2i chi d)) and for the population block
+    d = 0 in any medium (delta = -gamma).  With ``exact=False`` (the closed
+    form) every block takes delta = -gamma, which drops the d-dependent
+    phase of the coherences.  Otherwise cubic blocks with d >= 1 use the
+    eigenvectors V of A_d (its eigenvalues are its diagonal, distinct for
+    gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential
+    at each time if cond_1(V) > _EIGEN_COND_MAX.
     """
-    J = phi.size - d
+    a, b = _block_generator(medium, phi, gamma, d)
+    J = a.size
     j = np.arange(J)
-    a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
-    if d == 0 or medium.kind is MediumKind.KERR:
-        delta = -(gamma + 2j * medium.chi * d)
+    if not exact or d == 0 or medium.kind is MediumKind.KERR:
+        delta = -(gamma + 2j * medium.chi * d) if exact else -gamma
         padded = np.zeros((J, 2 * J), dtype=np.complex128)
         np.multiply(_cascade_block(phi.size, d), x0, out=padded[:, :J])
         # C[k, j] = padded[j, j + k]; the zero half supplies j + k >= J
         C = padded.reshape(-1)[j * (2 * J + 1) + j[:, None]]
 
         def cascade(times: np.ndarray) -> np.ndarray:
-            z = delta * times
-            # cancellation-safe small-step limit, and w = 0 at t = 0
-            small = gamma * times * (1.0 + z / 2.0 + z * z / 6.0)
-            w = np.where(np.abs(z) < 1e-8, small, gamma * np.expm1(z) / delta)
+            # delta != 0 for gamma > 0, and w = 0 at t = 0
+            w = gamma * np.expm1(delta * times) / delta
             return np.exp(np.multiply.outer(times, a)) * (np.vander(w, J, increasing=True) @ C)
 
         return cascade
-    b = gamma * np.sqrt((j[:-1] + d + 1.0) * (j[:-1] + 1.0))
     # unit-diagonal eigenvectors: column i solves (A_d - a_i) v = 0
     V = np.eye(J, dtype=np.complex128)
     for k in range(J - 2, -1, -1):
@@ -416,20 +394,20 @@ def _block_series(
         c = V_inv @ x0
         return lambda times: (np.exp(np.multiply.outer(times, a)) * c) @ V.T
     # ill-conditioned, or overflowed to nan: the dense exponential per time
-    return lambda times: np.array(
-        [_block_propagator(medium, phi, gamma, d, t, exact=True) @ x0 for t in times]
-    )
+    return lambda times: np.array([expm((np.diag(a) + np.diag(b, 1)) * t) @ x0 for t in times])
 
 
-def _exact_states(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
+def _amplitude_states(
+    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray, exact: bool
 ) -> Iterator[DensityMatrix]:
+    """Amplitude-damped states at ``times``, 64 at a time; ``exact=False``
+    gives the closed form of :func:`propagate_amplitude_damping_closed`."""
     if gamma == 0.0:
         yield from (propagate_unitary(rho0, medium, t) for t in times)
         return
     phi = medium.phase_exponents(rho0.dim)
     x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
-    series = [_block_series(medium, phi, gamma, d, x) for d, x in enumerate(x0)]
+    series = [_block_series(medium, phi, gamma, d, x, exact) for d, x in enumerate(x0)]
     for start in range(0, times.size, _CHUNK):
         chunk = times[start : start + _CHUNK]
         packed = np.concatenate([block(chunk) for block in series], axis=1)

@@ -24,9 +24,9 @@ from .config import AmplitudeSolver, ExperimentConfig, Product, config_to_text
 from .errors import NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
+    _amplitude_states,
     amplitude_exact_states,
     integrate_master,
-    propagate_amplitude_damping_closed,
     propagate_phase_damping,
     propagate_unitary,
 )
@@ -75,7 +75,7 @@ def _states(
     if damping.channel is DampingChannel.PHASE:
         return (propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times)
     if cfg.amplitude_solver is AmplitudeSolver.CLOSED_FORM:
-        return (propagate_amplitude_damping_closed(rho0, medium, damping.gamma, t) for t in times)
+        return _amplitude_states(rho0, medium, damping.gamma, np.asarray(times, float), exact=False)
     return amplitude_exact_states(rho0, medium, damping.gamma, times)
 
 
@@ -361,11 +361,9 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
         lines.append("# closed_form vs exact (off-diagonal reported, not asserted)")
         off_mask = ~np.eye(dim, dtype=bool)
         diag_devs, off_devs = [], []
+        closed_states = _amplitude_states(rho0, sub.medium, sub.damping.gamma, times, exact=False)
         exact_states = amplitude_exact_states(rho0, sub.medium, sub.damping.gamma, times)
-        for t, exact in zip(times, exact_states):
-            closed = propagate_amplitude_damping_closed(
-                rho0, sub.medium, sub.damping.gamma, float(t)
-            )
+        for t, closed, exact in zip(times, closed_states, exact_states):
             diff = np.abs(closed.elements - exact.elements)
             diag_devs.append(float(np.max(np.diag(diff))))
             off_devs.append(float(np.max(diff[off_mask])))

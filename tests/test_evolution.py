@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammaln
 
+from nltomo.config import AmplitudeSolver
 from nltomo.errors import NumericalInvariantError, ValidationError
 from nltomo.evolve import (
     DampingChannel,
@@ -21,6 +24,8 @@ from nltomo.evolve import (
     propagate_unitary,
     revival_time,
 )
+from nltomo.presets import preset_configs
+from nltomo.runner import _states
 from nltomo.states import (
     FockVector,
     InitialStateSpec,
@@ -218,13 +223,25 @@ def test_factorial_variant_breaks_trace():
 
 
 def test_exact_solver_small_time_expansion():
-    # exercises the cancellation-safe small-|z| branch of the Kerr weights
+    # the cascade weight gamma * expm1(delta t) / delta needs no small-|z|
+    # branch: it is first-order accurate at t = 1e-12 and exactly 0 at t = 0
     rho0 = padded_rho()
     damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)
     t = 1e-12
-    rho_t = coherence_block_solve(rho0, KERR, 0.1, t)
     first_order = rho0.elements + t * lindblad_rhs(rho0, KERR, damping)
-    assert np.max(np.abs(rho_t.elements - first_order)) < 1e-13
+    exact_0, exact_t = amplitude_exact_states(rho0, KERR, 0.1, np.array([0.0, t]))
+    for rho_t in (coherence_block_solve(rho0, KERR, 0.1, t), exact_t):
+        assert np.max(np.abs(rho_t.elements - first_order)) < 1e-13
+    # the closed form is exact on the populations only
+    closed_t = propagate_amplitude_damping_closed(rho0, KERR, 0.1, t)
+    assert np.max(np.abs(np.diag(closed_t.elements) - np.diag(first_order))) < 1e-13
+    closed_0 = propagate_amplitude_damping_closed(rho0, KERR, 0.1, 0.0)
+    # the states are assembled from the lower triangle, with real
+    # populations; rho0 is hermitian only to round-off
+    lower = np.tril(rho0.elements, -1)
+    expected = lower + lower.conj().T + np.diag(rho0.elements.diagonal().real)
+    assert np.array_equal(exact_0.elements, expected)
+    assert np.array_equal(closed_0.elements, expected)
 
 
 def test_amplitude_asymptote_reaches_vacuum():
@@ -339,6 +356,60 @@ def test_amplitude_exact_states_stepping_keeps_trace():
         abs(rho_t.trace() - 1.0) for rho_t in amplitude_exact_states(rho0, KERR, 0.05, times)
     )
     assert drift < 1e-13
+
+
+def test_amplitude_exact_states_matches_reference_at_fig8_size():
+    # the Kerr cascade at dim 100 against the dense per-block exponential,
+    # at three times of the fig8 grid up to its end at 0.55 T_rev
+    rho0 = padded_rho(dim=100, alpha_sq=40.0, p=3)
+    times = np.linspace(0.0, 0.55 * revival_time(KERR), 700)[[233, 466, 699]]
+    for t, rho_t in zip(times, amplitude_exact_states(rho0, KERR, 0.05, times)):
+        direct = coherence_block_solve(rho0, KERR, 0.05, float(t))
+        assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
+
+
+def closed_form_by_block_matrices(rho0, medium, gamma, t):
+    """The closed form one time at a time, as one matrix per coherence block:
+    x_d(t) = diag(e^{a t}) (B o w^K) x_d(0), w = 1 - e^{-gamma t}, K = col - row,
+    B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k))."""
+    dim = rho0.dim
+    phi = medium.phase_exponents(dim)
+    w = -math.expm1(-gamma * t)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for d in range(dim):
+        j = np.arange(dim - d)
+        row, col = j[:, None], j[None, :]
+        K = np.maximum(col - row, 0)
+        log_b = 0.5 * (
+            gammaln(col + d + 1.0) - gammaln(row + d + 1.0) + gammaln(col + 1.0) - gammaln(row + 1.0)
+        ) - gammaln(K + 1.0)
+        M = np.where(col >= row, np.exp(log_b) * w**K, 0.0)
+        a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
+        x = np.exp(a * t) * (M @ np.diagonal(rho0.elements, -d))
+        out[j + d, j] = x
+        out[j, j + d] = np.conj(x)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["fig12", "fig8"], ids=["cubic-dim60", "kerr-dim100"])
+def test_closed_form_matches_block_matrices(preset):
+    # the photon-added run of each preset, swept with solver.amplitude =
+    # closed_form over its full grid (fig12: 500 times at dim 60, fig8: 700
+    # at dim 100)
+    cfg = replace(preset_configs(preset)[1], amplitude_solver=AmplitudeSolver.CLOSED_FORM)
+    assert cfg.initial_state.kind is StateKind.PHOTON_ADDED
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    gamma = cfg.damping.gamma
+    times = cfg.time_grid.values
+    checked = set(range(0, times.size, 50)) | {times.size - 1}
+    for i, rho_t in enumerate(_states(cfg, rho0, times)):
+        if i in checked:
+            ref = closed_form_by_block_matrices(rho0, cfg.medium, gamma, times[i])
+            assert np.max(np.abs(rho_t.elements - ref)) < 1e-12
+    for t in times[[0, times.size // 3, -1]]:
+        ref = closed_form_by_block_matrices(rho0, cfg.medium, gamma, t)
+        closed = propagate_amplitude_damping_closed(rho0, cfg.medium, gamma, t)
+        assert np.max(np.abs(closed.elements - ref)) < 1e-12
 
 
 def test_amplitude_exact_states_validation():

@@ -1,12 +1,15 @@
 import math
+import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nltomo
 from nltomo.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 from nltomo.config import (
     _KNOWN_KEYS,
@@ -220,6 +223,15 @@ def test_config_roundtrip(tmp_path):
     assert back.tomograms_at == pytest.approx(cfg.tomograms_at, rel=1e-12)
     assert back.minima_prominence == pytest.approx(cfg.minima_prominence)
     assert back.out_dir == cfg.out_dir and back.name == cfg.name
+
+
+def test_preset_config_reruns_byte_for_byte(preset_results, tmp_path):
+    # the resolved .cfg written next to a preset's outputs reproduces them;
+    # rounded to 12 digits, its state.delta and sim.t_end_over_trev would
+    # move 122 of fig6_coherent's 200 rows
+    (result,) = [r for r in preset_results["fig6"] if r.config.name == "fig6_coherent"]
+    cfg = replace(config_from_file(result.config_path), out_dir=tmp_path)
+    assert run_experiment(cfg).csv_path.read_bytes() == result.csv_path.read_bytes()
 
 
 # --- run_experiment ------------------------------------------------------------
@@ -494,12 +506,21 @@ def test_cli_oracle_exit_codes(tmp_path, capsys):
         assert "samples >= 2" in capsys.readouterr().err
 
 
+def _child_env():
+    """Environment in which a child interpreter imports this nltomo package."""
+    root = str(Path(nltomo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nltomo.cli", "preset", "--list"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=_child_env(),
     )
     assert proc.returncode == EXIT_OK
     assert "fig1" in proc.stdout
@@ -517,6 +538,7 @@ def test_cli_import_leaves_out_scipy():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_child_env(),
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.split() == []
