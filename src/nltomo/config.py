@@ -7,37 +7,19 @@ cannot silently change an experiment.  :func:`config_to_text` writes the
 fully resolved configuration back out, which is what the preset runner
 stores next to its outputs for reproducibility.
 
-Recognized keys (see README for the full table):
-
-    state.kind            coherent | photon_added | even_coherent
-    state.alpha_sq        field intensity |alpha|^2  (>= 0)
-    state.delta           phase of alpha in radians  (default 0)
-    state.p               photons added (photon_added only, >= 1)
-    medium.kind           kerr | cubic
-    medium.chi            coupling strength           (default 5.0)
-    damping.channel       none | amplitude | phase    (default none)
-    damping.gamma         damping rate                (default 0)
-    sim.dim               Fock-space truncation       (>= 2)
-    sim.t_end_over_trev   sweep end in units of T_rev (default 1.0)
-    sim.steps             number of time samples      (default 200)
-    sim.force             skip the truncation-adequacy check (default false)
-    grid.x_max            quadrature window half-width (default: auto)
-    grid.n_x              quadrature samples           (default: auto)
-    grid.theta_count      phases for the area integral (default 128)
-    solver.amplitude      exact | closed_form          (default exact)
-    out.dir               output directory             (default nltomo_out)
-    out.name              base name for output files   (default: config stem)
-    out.products          comma list of quantifiers_csv | tomogram_dump |
-                          minima_report                (default quantifiers_csv)
-    out.tomograms_at      comma list of dump times in units of T_rev
-    out.minima_prominence minimum dip depth for the minima report (default 1e-3)
+The README tables the 21 recognized keys.  :func:`config_from_text`
+passes the dataclasses only the keys a text sets, so each default is
+stated once, on its dataclass field; the parser supplies just the two
+that no field carries (``state.delta = 0`` and ``damping.channel =
+none``).  Listing ``out.tomograms_at`` also adds the ``tomogram_dump``
+product.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,31 +57,6 @@ class Product(enum.Enum):
     QUANTIFIERS_CSV = "quantifiers_csv"
     TOMOGRAM_DUMP = "tomogram_dump"
     MINIMA_REPORT = "minima_report"
-
-
-_KNOWN_KEYS = {
-    "state.kind",
-    "state.alpha_sq",
-    "state.delta",
-    "state.p",
-    "medium.kind",
-    "medium.chi",
-    "damping.channel",
-    "damping.gamma",
-    "sim.dim",
-    "sim.t_end_over_trev",
-    "sim.steps",
-    "sim.force",
-    "grid.x_max",
-    "grid.n_x",
-    "grid.theta_count",
-    "solver.amplitude",
-    "out.dir",
-    "out.name",
-    "out.products",
-    "out.tomograms_at",
-    "out.minima_prominence",
-}
 
 
 @dataclass(frozen=True)
@@ -210,126 +167,142 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_float(kv: dict, key: str, default: float | None = None) -> float | None:
-    if key not in kv:
-        return default
+def _parse_float(key: str, text: str) -> float:
     try:
-        return float(kv[key])
+        return float(text)
     except ValueError:
-        raise ValidationError(f"{key}: expected a number, got {kv[key]!r}") from None
+        raise ValidationError(f"{key}: expected a number, got {text!r}") from None
 
 
-def _parse_int(kv: dict, key: str, default: int | None = None) -> int | None:
-    if key not in kv:
-        return default
+def _parse_int(key: str, text: str) -> int:
     try:
-        return int(kv[key])
+        return int(text)
     except ValueError:
-        raise ValidationError(f"{key}: expected an integer, got {kv[key]!r}") from None
+        raise ValidationError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_bool(kv: dict, key: str, default: bool) -> bool:
-    if key not in kv:
-        return default
-    value = kv[key].lower()
+def _parse_bool(key: str, text: str) -> bool:
+    value = text.lower()
     if value in ("true", "yes", "1", "on"):
         return True
     if value in ("false", "no", "0", "off"):
         return False
-    raise ValidationError(f"{key}: expected a boolean, got {kv[key]!r}")
+    raise ValidationError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _parse_enum(kv: dict, key: str, enum_cls, default):
-    if key not in kv:
-        return default
-    value = kv[key].lower()
-    for member in enum_cls:
-        if member.value == value:
-            return member
-    choices = ", ".join(m.value for m in enum_cls)
-    raise ValidationError(f"{key}: expected one of [{choices}], got {kv[key]!r}")
+def _parse_enum(enum_cls):
+    def parse(key: str, text: str):
+        value = text.lower()
+        for member in enum_cls:
+            if member.value == value:
+                return member
+        choices = ", ".join(m.value for m in enum_cls)
+        raise ValidationError(f"{key}: expected one of [{choices}], got {text!r}")
+
+    return parse
 
 
-def config_from_text(text: str, default_name: str = "run") -> ExperimentConfig:
-    kv = parse_config_text(text)
-
-    kind = _parse_enum(kv, "state.kind", StateKind, None)
-    if kind is None:
-        raise ValidationError("state.kind is required")
-    alpha_sq = _parse_float(kv, "state.alpha_sq", None)
-    if alpha_sq is None:
-        raise ValidationError("state.alpha_sq is required")
-    if alpha_sq < 0:
-        raise ValidationError(f"state.alpha_sq must be >= 0, got {alpha_sq}")
-    delta = _parse_float(kv, "state.delta", 0.0)
-    if not math.isfinite(delta):
-        raise ValidationError(f"state.delta must be finite, got {delta}")
-    p = _parse_int(kv, "state.p", 0)
-    if kind is not StateKind.PHOTON_ADDED and "state.p" in kv:
-        raise ValidationError("state.p is only valid for state.kind = photon_added")
-    alpha = math.sqrt(alpha_sq) * complex(math.cos(delta), math.sin(delta))
-    initial_state = InitialStateSpec(kind=kind, alpha=alpha, p=p)
-
-    medium_kind = _parse_enum(kv, "medium.kind", MediumKind, None)
-    if medium_kind is None:
-        raise ValidationError("medium.kind is required")
-    medium = MediumSpec(kind=medium_kind, chi=_parse_float(kv, "medium.chi", 5.0))
-
-    channel = _parse_enum(kv, "damping.channel", DampingChannel, DampingChannel.NONE)
-    damping = DampingSpec(channel=channel, gamma=_parse_float(kv, "damping.gamma", 0.0))
-
-    dim = _parse_int(kv, "sim.dim", None)
-    if dim is None:
-        raise ValidationError("sim.dim is required")
-
-    products_raw = kv.get("out.products", Product.QUANTIFIERS_CSV.value)
+def _parse_products(key: str, text: str) -> frozenset:
     by_value = {member.value: member for member in Product}
     products = set()
-    for token in products_raw.split(","):
+    for token in text.split(","):
         token = token.strip().lower()
         if not token:
             continue
         if token not in by_value:
             choices = ", ".join(sorted(by_value))
-            raise ValidationError(
-                f"out.products: expected entries from [{choices}], got {token!r}"
-            )
+            raise ValidationError(f"{key}: expected entries from [{choices}], got {token!r}")
         products.add(by_value[token])
-    if not products:
-        raise ValidationError(f"out.products: no products in {products_raw!r}")
+    return frozenset(products)
 
-    tomograms_at: tuple[float, ...] = ()
-    if "out.tomograms_at" in kv:
-        try:
-            tomograms_at = tuple(
-                float(tok) for tok in kv["out.tomograms_at"].split(",") if tok.strip()
-            )
-        except ValueError:
-            raise ValidationError(
-                f"out.tomograms_at: expected comma-separated numbers, got {kv['out.tomograms_at']!r}"
-            ) from None
-        products.add(Product.TOMOGRAM_DUMP)
 
-    return ExperimentConfig(
-        initial_state=initial_state,
-        medium=medium,
-        damping=damping,
-        dim=dim,
-        t_end_over_trev=_parse_float(kv, "sim.t_end_over_trev", 1.0),
-        steps=_parse_int(kv, "sim.steps", 200),
-        x_max=_parse_float(kv, "grid.x_max", None),
-        n_x=_parse_int(kv, "grid.n_x", None),
-        theta_count=_parse_int(kv, "grid.theta_count", 128),
-        amplitude_solver=_parse_enum(
-            kv, "solver.amplitude", AmplitudeSolver, AmplitudeSolver.EXACT
-        ),
-        products=frozenset(products),
-        tomograms_at=tomograms_at,
-        minima_prominence=_parse_float(kv, "out.minima_prominence", 1e-3),
-        out_dir=Path(kv.get("out.dir", "nltomo_out")),
-        name=kv.get("out.name", default_name),
-        force=_parse_bool(kv, "sim.force", False),
+def _parse_times(key: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ValidationError(f"{key}: expected comma-separated numbers, got {text!r}") from None
+
+
+def _verbatim(key: str, text: str) -> str:
+    return text
+
+
+# key -> (ExperimentConfig field, parser), for every key beyond the
+# initial state, medium and damping
+_RUN_KEYS = {
+    "sim.dim": ("dim", _parse_int),
+    "sim.t_end_over_trev": ("t_end_over_trev", _parse_float),
+    "sim.steps": ("steps", _parse_int),
+    "sim.force": ("force", _parse_bool),
+    "grid.x_max": ("x_max", _parse_float),
+    "grid.n_x": ("n_x", _parse_int),
+    "grid.theta_count": ("theta_count", _parse_int),
+    "solver.amplitude": ("amplitude_solver", _parse_enum(AmplitudeSolver)),
+    "out.dir": ("out_dir", _verbatim),
+    "out.name": ("name", _verbatim),
+    "out.products": ("products", _parse_products),
+    "out.tomograms_at": ("tomograms_at", _parse_times),
+    "out.minima_prominence": ("minima_prominence", _parse_float),
+}
+
+_KNOWN_KEYS = {
+    "state.kind",
+    "state.alpha_sq",
+    "state.delta",
+    "state.p",
+    "medium.kind",
+    "medium.chi",
+    "damping.channel",
+    "damping.gamma",
+    *_RUN_KEYS,
+}
+
+
+def config_from_text(text: str, default_name: str | None = None) -> ExperimentConfig:
+    """Build a config from key=value text.
+
+    Only the keys the text sets reach the dataclasses, so every other
+    setting takes the default of its field; ``default_name`` stands in
+    for a missing ``out.name``.
+    """
+    # the two defaults that no dataclass field carries
+    kv = {"state.delta": "0", "damping.channel": "none", **parse_config_text(text)}
+    for key in ("state.kind", "state.alpha_sq", "medium.kind", "sim.dim"):
+        if key not in kv:
+            raise ValidationError(f"{key} is required")
+
+    def given(keys: dict) -> dict:
+        return {name: parse(key, kv[key]) for key, (name, parse) in keys.items() if key in kv}
+
+    kind = _parse_enum(StateKind)("state.kind", kv["state.kind"])
+    alpha_sq = _parse_float("state.alpha_sq", kv["state.alpha_sq"])
+    if alpha_sq < 0:
+        raise ValidationError(f"state.alpha_sq must be >= 0, got {alpha_sq}")
+    delta = _parse_float("state.delta", kv["state.delta"])
+    if not math.isfinite(delta):
+        raise ValidationError(f"state.delta must be finite, got {delta}")
+    if kind is not StateKind.PHOTON_ADDED and "state.p" in kv:
+        raise ValidationError("state.p is only valid for state.kind = photon_added")
+    alpha = math.sqrt(alpha_sq) * complex(math.cos(delta), math.sin(delta))
+    initial_state = InitialStateSpec(kind, alpha, **given({"state.p": ("p", _parse_int)}))
+
+    medium = MediumSpec(
+        _parse_enum(MediumKind)("medium.kind", kv["medium.kind"]),
+        **given({"medium.chi": ("chi", _parse_float)}),
     )
+    damping = DampingSpec(
+        _parse_enum(DampingChannel)("damping.channel", kv["damping.channel"]),
+        **given({"damping.gamma": ("gamma", _parse_float)}),
+    )
+
+    run = given(_RUN_KEYS)
+    if default_name is not None:
+        run.setdefault("name", default_name)
+    cfg = ExperimentConfig(initial_state, medium, damping, **run)
+    if "out.tomograms_at" in kv:
+        # listing dump times asks for the dumps
+        cfg = replace(cfg, products=cfg.products | {Product.TOMOGRAM_DUMP})
+    return cfg
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:

@@ -55,7 +55,6 @@ __all__ = [
     "propagate_amplitude_damping_closed",
     "coherence_block_solve",
     "amplitude_exact_states",
-    "lindblad_rhs",
     "integrate_master",
 ]
 
@@ -108,9 +107,7 @@ class DampingSpec:
             raise ValidationError(
                 f"channel must be a DampingChannel, got {self.channel!r}"
             )
-        gamma = float(self.gamma)
-        if not (math.isfinite(gamma) and gamma >= 0):
-            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        gamma = _validate_gamma(self.gamma)
         if (gamma == 0.0) != (self.channel is DampingChannel.NONE):
             raise ValidationError(
                 "gamma == 0 requires channel 'none' and vice versa; "
@@ -144,10 +141,6 @@ class TimeGrid:
     @property
     def values(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
-
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / (self.steps - 1)
 
 
 def revival_time(medium: MediumSpec) -> float:
@@ -415,42 +408,7 @@ def _amplitude_states(
             yield DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
 
 
-# --- operator-form generator and reference integrator -----------------------
-
-
-def _hamiltonian(dim: int, medium: MediumSpec) -> np.ndarray:
-    return np.diag(medium.chi * medium.phase_exponents(dim)).astype(np.complex128)
-
-
-def _jump_operators(dim: int, damping: DampingSpec) -> list[np.ndarray]:
-    if damping.channel is DampingChannel.NONE:
-        return []
-    root = math.sqrt(damping.gamma)
-    if damping.channel is DampingChannel.AMPLITUDE:
-        a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), 1)
-        return [root * a.astype(np.complex128)]
-    number = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-    return [root * number]
-
-
-def lindblad_rhs(
-    rho: DensityMatrix | np.ndarray, medium: MediumSpec, damping: DampingSpec
-) -> np.ndarray:
-    """Operator-form right-hand side of the master equation.
-
-    Written with explicit matrix products (commutator plus dissipators)
-    rather than the diagonal shortcuts, precisely so it can serve as an
-    independent check on the fast propagators.
-    """
-    mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho, np.complex128)
-    dim = mat.shape[0]
-    H = _hamiltonian(dim, medium)
-    rhs = -1j * (H @ mat - mat @ H)
-    for L in _jump_operators(dim, damping):
-        Ld = L.conj().T
-        LdL = Ld @ L
-        rhs += L @ mat @ Ld - 0.5 * (LdL @ mat + mat @ LdL)
-    return rhs
+# --- dense reference integrator ---------------------------------------------
 
 
 def _liouvillian_matrix(dim: int, medium: MediumSpec, damping: DampingSpec) -> np.ndarray:
@@ -458,13 +416,19 @@ def _liouvillian_matrix(dim: int, medium: MediumSpec, damping: DampingSpec) -> n
 
     vec(A X B) = (A kron B^T) vec(X) for C-ordered flattening.
     """
-    H = _hamiltonian(dim, medium)
+    H = np.diag(medium.chi * medium.phase_exponents(dim)).astype(np.complex128)
     eye = np.eye(dim, dtype=np.complex128)
     S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    for L in _jump_operators(dim, damping):
-        LdL = L.conj().T @ L
-        S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-    return S
+    if damping.channel is DampingChannel.NONE:
+        return S
+    n = np.arange(dim, dtype=np.float64)
+    if damping.channel is DampingChannel.AMPLITUDE:
+        jump = np.diag(np.sqrt(n[1:]), 1)  # a
+    else:
+        jump = np.diag(n)  # a^dag a
+    L = math.sqrt(damping.gamma) * jump.astype(np.complex128)
+    LdL = L.conj().T @ L
+    return S + np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
 
 
 _INTEGRATE_DIM_CAP = 40

@@ -94,6 +94,44 @@ def _trio_runs(
     ]
 
 
+def _coherent_runs(
+    preset: str, medium: MediumSpec, sizes: tuple[tuple[float, int], ...]
+) -> list[ExperimentConfig]:
+    """Undamped coherent-state sweeps, one per (|alpha|^2, dim)."""
+    return [
+        ExperimentConfig(
+            initial_state=_coherent(a2),
+            medium=medium,
+            damping=_NO_DAMPING,
+            dim=dim,
+            t_end_over_trev=1.0,
+            steps=500,
+            products=_CSV,
+            name=f"{preset}_a{int(a2)}",
+        )
+        for a2, dim in sizes
+    ]
+
+
+def _dump_runs(preset: str, channel: DampingChannel) -> list[ExperimentConfig]:
+    """Cubic 3-photon-added tomogram dumps at the gamma*t milestones."""
+    return [
+        ExperimentConfig(
+            initial_state=_added(5.0),
+            medium=_CUBIC,
+            damping=DampingSpec(channel, _DUMP_GAMMA),
+            dim=60,
+            t_end_over_trev=_gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
+            steps=200,
+            products=_DUMPS,
+            tomograms_at=tuple(
+                _gamma_t_end_over_trev(gt, _DUMP_GAMMA, _CUBIC) for gt in _DUMP_GAMMA_T
+            ),
+            name=f"{preset}_photon_added",
+        )
+    ]
+
+
 def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     cat: dict[str, tuple[str, list[ExperimentConfig]]] = {}
 
@@ -109,19 +147,7 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig2",
         "Kerr, no damping: coherent-state area vs t for |alpha|^2=10,15,20",
-        [
-            ExperimentConfig(
-                initial_state=_coherent(a2),
-                medium=_KERR,
-                damping=_NO_DAMPING,
-                dim=dim,
-                t_end_over_trev=1.0,
-                steps=500,
-                products=_CSV,
-                name=f"fig2_a{int(a2)}",
-            )
-            for a2, dim in ((10.0, 60), (15.0, 70), (20.0, 80))
-        ],
+        _coherent_runs("fig2", _KERR, ((10.0, 60), (15.0, 70), (20.0, 80))),
     )
     add(
         "fig3",
@@ -185,8 +211,7 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig7",
         "Kerr, no damping: entropy sum vs t, |alpha|^2=40, dim=100",
-        _trio_runs("fig7", 40.0, _KERR, _NO_DAMPING, steps=700, t_end_over_trev=0.55,
-                   dim=100, products=_CSV_MINIMA),
+        _trio_runs("fig7", 40.0, _KERR, _NO_DAMPING, **entropy_kerr),
     )
     add(
         "fig8",
@@ -220,19 +245,7 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig11",
         "Cubic, no damping: coherent-state area vs t for |alpha|^2=5,10",
-        [
-            ExperimentConfig(
-                initial_state=_coherent(a2),
-                medium=_CUBIC,
-                damping=_NO_DAMPING,
-                dim=dim,
-                t_end_over_trev=1.0,
-                steps=500,
-                products=_CSV,
-                name=f"fig11_a{int(a2)}",
-            )
-            for a2, dim in ((5.0, 60), (10.0, 70))
-        ],
+        _coherent_runs("fig11", _CUBIC, ((5.0, 60), (10.0, 70))),
     )
     add(
         "fig12",
@@ -251,21 +264,7 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig13",
         "Cubic, amplitude damping: 3-photon-added tomogram dumps at gamma*t = 0.01, 0.1, 1, 10",
-        [
-            ExperimentConfig(
-                initial_state=_added(5.0),
-                medium=_CUBIC,
-                damping=DampingSpec(DampingChannel.AMPLITUDE, _DUMP_GAMMA),
-                dim=60,
-                t_end_over_trev=_gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
-                steps=200,
-                products=_DUMPS,
-                tomograms_at=tuple(
-                    _gamma_t_end_over_trev(gt, _DUMP_GAMMA, _CUBIC) for gt in _DUMP_GAMMA_T
-                ),
-                name="fig13_photon_added",
-            )
-        ],
+        _dump_runs("fig13", DampingChannel.AMPLITUDE),
     )
     add(
         "fig14",
@@ -298,21 +297,7 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig16",
         "Cubic, phase damping: 3-photon-added tomogram dumps at gamma*t = 0.01, 0.1, 1, 10",
-        [
-            ExperimentConfig(
-                initial_state=_added(5.0),
-                medium=_CUBIC,
-                damping=DampingSpec(DampingChannel.PHASE, _DUMP_GAMMA),
-                dim=60,
-                t_end_over_trev=_gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
-                steps=200,
-                products=_DUMPS,
-                tomograms_at=tuple(
-                    _gamma_t_end_over_trev(gt, _DUMP_GAMMA, _CUBIC) for gt in _DUMP_GAMMA_T
-                ),
-                name="fig16_photon_added",
-            )
-        ],
+        _dump_runs("fig16", DampingChannel.PHASE),
     )
     add(
         "fig17",

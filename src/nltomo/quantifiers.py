@@ -31,6 +31,7 @@ from .tomography import (
     Tomogram,
     conjugate_thetas,
     suggested_grid,
+    symmetric_grid,
     tomogram_of_density,
     uniform_thetas,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "COHERENT_AREA_BASELINE",
     "QuantifierRecord",
     "quadrature_mean_variance",
-    "quadrature_moments_from_tomogram",
     "variance_profile_from_tomogram",
     "nonclassical_area",
     "tomographic_entropy",
@@ -82,16 +82,6 @@ def quadrature_mean_variance(
     return mean, var
 
 
-def quadrature_moments_from_tomogram(
-    tomo: Tomogram, theta_index: int, order: int
-) -> float:
-    """Trapezoid moment integral x^order against one tomogram slice."""
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
-    x = tomo.grid.x
-    return float(np.trapezoid(x**order * tomo.values[theta_index], x))
-
-
 def variance_profile_from_tomogram(tomo: Tomogram) -> np.ndarray:
     """Var X_theta for every slice of a tomogram."""
     x = tomo.grid.x
@@ -104,6 +94,17 @@ def variance_profile_from_tomogram(tomo: Tomogram) -> np.ndarray:
             f"non-positive tomographic variance {bad:.3e}"
         )
     return var
+
+
+def _window_grid(
+    rho: DensityMatrix, thetas: tuple[float, ...], x_window: tuple[float, int] | None
+) -> QuadratureGrid:
+    """n_x points on [-x_max, x_max] for x_window = (x_max, n_x), or the
+    window that ``suggested_grid`` sizes from <N> when x_window is None."""
+    if x_window is None:
+        return suggested_grid(ladder_expectations(rho).n, thetas)
+    x_max, n_x = x_window
+    return symmetric_grid(x_max, int(n_x), thetas)
 
 
 def nonclassical_area(
@@ -125,11 +126,7 @@ def nonclassical_area(
     if method == "analytic":
         _, var = quadrature_mean_variance(rho, thetas)
     elif method == "tomographic":
-        if x_window is None:
-            grid = suggested_grid(ladder_expectations(rho).n, tuple(thetas))
-        else:
-            x_max, n_x = x_window
-            grid = QuadratureGrid(-float(x_max), float(x_max), int(n_x), tuple(thetas))
+        grid = _window_grid(rho, tuple(thetas), x_window)
         var = variance_profile_from_tomogram(tomogram_of_density(rho, grid))
     else:
         raise ValidationError(f"method must be 'analytic' or 'tomographic', got {method!r}")
@@ -172,12 +169,7 @@ def entropy_pair(
     """
     pair = conjugate_thetas(theta)
     ordered = tuple(sorted(pair))
-    if x_window is None:
-        grid = suggested_grid(ladder_expectations(rho).n, ordered)
-    else:
-        x_max, n_x = x_window
-        grid = QuadratureGrid(-float(x_max), float(x_max), int(n_x), ordered)
-    tomo = tomogram_of_density(rho, grid)
+    tomo = tomogram_of_density(rho, _window_grid(rho, ordered, x_window))
     s_by_theta = {
         th: tomographic_entropy(tomo, i) for i, th in enumerate(ordered)
     }

@@ -38,7 +38,7 @@ from .quantifiers import (
     nonclassical_area,
 )
 from .states import DensityMatrix, density_from_pure, ladder_expectations, tail_mass
-from .tomography import suggested_grid, tomogram_of_density, uniform_thetas, QuadratureGrid
+from .tomography import suggested_grid, symmetric_grid, tomogram_of_density, uniform_thetas
 
 __all__ = [
     "RunResult",
@@ -159,9 +159,7 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
 
     dump_paths: list[Path] = []
     if Product.TOMOGRAM_DUMP in cfg.products:
-        dump_thetas = uniform_thetas(cfg.theta_count)
-        x_max, n_x = window
-        dump_grid = QuadratureGrid(-x_max, x_max, n_x, dump_thetas)
+        dump_grid = symmetric_grid(*window, uniform_thetas(cfg.theta_count))
         dump_times = [u * t_rev for u in cfg.tomograms_at]
         for u, rho_t in zip(cfg.tomograms_at, _states(cfg, rho0, dump_times)):
             tomo = tomogram_of_density(rho_t, dump_grid)

@@ -32,7 +32,6 @@ __all__ = [
     "density_from_pure",
     "ladder_expectations",
     "tail_mass",
-    "laguerre_value",
 ]
 
 _NORM_TOL = 1e-12
@@ -362,20 +361,3 @@ def tail_mass(obj: FockVector | DensityMatrix, start: int) -> float:
         return 0.0
     return float(np.sum(probs[start:]))
 
-
-def laguerre_value(p: int, x: float) -> float:
-    """Laguerre polynomial L_p(x) by the stable three-term recurrence.
-
-    (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x)
-
-    Needed for closed-form photon-added normalization checks, e.g.
-    <N> = (p+1) L_{p+1}(-|alpha|^2) / L_p(-|alpha|^2) - 1.
-    """
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValidationError(f"p must be an integer >= 0, got {p!r}")
-    if p == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for k in range(1, p):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return float(cur)

@@ -42,7 +42,6 @@ __all__ = [
     "symmetric_grid",
     "suggested_grid",
     "tomogram_of_density",
-    "parse_dump",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -218,24 +217,6 @@ class Tomogram:
         path = Path(path)
         path.write_text(self.to_dump_text())
         return path
-
-
-def parse_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :meth:`Tomogram.to_dump_text`: (thetas, x, values)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "# theta x omega":
-        raise ValidationError("missing '# theta x omega' header")
-    cols = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
-    if cols.shape[1] != 3:
-        raise ValidationError("dump rows must have three columns")
-    thetas = np.unique(cols[:, 0])
-    n_theta = thetas.size
-    if cols.shape[0] % n_theta:
-        raise ValidationError("dump is not a complete rectangular grid")
-    n_x = cols.shape[0] // n_theta
-    x = cols[:n_x, 1]
-    values = cols[:, 2].reshape(n_theta, n_x)
-    return thetas, x, values
 
 
 def _check_normalization(tomo: Tomogram) -> None:

@@ -1,8 +1,11 @@
+"""Shared fixtures and test-only reference helpers."""
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from nltomo.evolve import _cascade_block, _from_blocks
+from nltomo.errors import ValidationError
+from nltomo.evolve import DampingChannel, _cascade_block, _from_blocks
 from nltomo.presets import preset_names, run_preset
 
 
@@ -42,3 +45,65 @@ def amplitude_damping_factorial_variant(rho0, medium, gamma, t):
         x0 = np.diagonal(rho0.elements, -d)
         blocks.append(np.exp(a * t) * ((_cascade_block(dim, d) * weights) @ x0))
     return _from_blocks(np.concatenate(blocks), dim)
+
+
+def laguerre_value(p, x):
+    """Laguerre polynomial L_p(x) by (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
+
+    Photon-added states have <N> = (p+1) L_{p+1}(-|alpha|^2) / L_p(-|alpha|^2) - 1.
+    """
+    if not isinstance(p, (int, np.integer)) or p < 0:
+        raise ValidationError(f"p must be an integer >= 0, got {p!r}")
+    if p == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 - x
+    for k in range(1, p):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return float(cur)
+
+
+def quadrature_moments_from_tomogram(tomo, theta_index, order):
+    """Trapezoid moment integral x^order against one tomogram slice."""
+    if order < 0:
+        raise ValidationError(f"order must be >= 0, got {order}")
+    x = tomo.grid.x
+    return float(np.trapezoid(x**order * tomo.values[theta_index], x))
+
+
+def parse_dump(text):
+    """Inverse of ``Tomogram.to_dump_text``: (thetas, x, values)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "# theta x omega":
+        raise ValidationError("missing '# theta x omega' header")
+    cols = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
+    if cols.shape[1] != 3:
+        raise ValidationError("dump rows must have three columns")
+    thetas = np.unique(cols[:, 0])
+    n_theta = thetas.size
+    if cols.shape[0] % n_theta:
+        raise ValidationError("dump is not a complete rectangular grid")
+    n_x = cols.shape[0] // n_theta
+    x = cols[:n_x, 1]
+    values = cols[:, 2].reshape(n_theta, n_x)
+    return thetas, x, values
+
+
+def lindblad_rhs(rho, medium, damping):
+    """Operator-form right-hand side of the master equation.
+
+    Written with explicit matrix products (commutator plus dissipator)
+    and its own H and jump operator, so it checks the propagators and
+    the superoperator of ``integrate_master`` independently.
+    """
+    mat, dim = rho.elements, rho.dim
+    H = np.diag(medium.chi * medium.phase_exponents(dim))
+    rhs = -1j * (H @ mat - mat @ H)
+    if damping.channel is DampingChannel.AMPLITUDE:
+        L = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    elif damping.channel is DampingChannel.PHASE:
+        L = np.diag(np.arange(dim, dtype=np.float64))
+    else:
+        return rhs
+    L = np.sqrt(damping.gamma) * L
+    LdL = L.T @ L
+    return rhs + L @ mat @ L.T - 0.5 * (LdL @ mat + mat @ LdL)

@@ -41,13 +41,12 @@ from nltomo.states import (
 from nltomo.tomography import (
     QuadratureGrid,
     Tomogram,
-    parse_dump,
     symmetric_grid,
     tomogram_of_density,
     uniform_thetas,
 )
 
-from conftest import amplitude_damping_factorial_variant
+from conftest import amplitude_damping_factorial_variant, parse_dump
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 CUBIC = MediumSpec(MediumKind.CUBIC, 5.0)

@@ -18,7 +18,6 @@ from nltomo.evolve import (
     coherence_block_solve,
     expm,
     integrate_master,
-    lindblad_rhs,
     propagate_amplitude_damping_closed,
     propagate_phase_damping,
     propagate_unitary,
@@ -33,7 +32,7 @@ from nltomo.states import (
     density_from_pure,
 )
 
-from conftest import amplitude_damping_factorial_variant
+from conftest import amplitude_damping_factorial_variant, lindblad_rhs
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 CUBIC = MediumSpec(MediumKind.CUBIC, 5.0)
@@ -81,7 +80,6 @@ def test_damping_spec_gamma_channel_consistency():
 def test_time_grid():
     grid = TimeGrid(0.0, 1.0, 5)
     assert np.allclose(grid.values, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert grid.dt == 0.25
     with pytest.raises(ValidationError):
         TimeGrid(-0.1, 1.0, 5)
     with pytest.raises(ValidationError):

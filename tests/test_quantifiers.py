@@ -21,7 +21,6 @@ from nltomo.quantifiers import (
     find_local_minima,
     nonclassical_area,
     quadrature_mean_variance,
-    quadrature_moments_from_tomogram,
     tomographic_entropy,
     variance_profile_from_tomogram,
 )
@@ -33,6 +32,8 @@ from nltomo.states import (
     density_from_pure,
 )
 from nltomo.tomography import QuadratureGrid, symmetric_grid, tomogram_of_density, uniform_thetas
+
+from conftest import quadrature_moments_from_tomogram
 
 # reference values below were frozen from independent adaptive-quadrature
 # and refined-grid computations before this module was written

@@ -27,7 +27,8 @@ from nltomo.presets import preset_configs, preset_description, preset_names
 from nltomo.quantifiers import QuantifierRecord
 from nltomo.runner import convergence_sweep, oracle_report, run_experiment
 from nltomo.states import InitialStateSpec, StateKind
-from nltomo.tomography import parse_dump
+
+from conftest import parse_dump
 
 BASE_TEXT = """\
 # small, fast sweep used across the runner tests
@@ -223,6 +224,19 @@ def test_config_roundtrip(tmp_path):
     assert back.tomograms_at == pytest.approx(cfg.tomograms_at, rel=1e-12)
     assert back.minima_prominence == pytest.approx(cfg.minima_prominence)
     assert back.out_dir == cfg.out_dir and back.name == cfg.name
+
+
+def test_catalog_configs_roundtrip_exactly():
+    # dataclass equality: alpha, t_end_over_trev and tomograms_at bit for bit
+    configs = [cfg for name in preset_names() for cfg in preset_configs(name)]
+    assert len(configs) == 55
+    for cfg in configs:
+        assert config_from_text(config_to_text(cfg)) == cfg, cfg.name
+
+
+def test_config_rejects_empty_products():
+    with pytest.raises(ValidationError, match=r"out\.products"):
+        config_from_text(BASE_TEXT + "out.products = ,\n")
 
 
 def test_preset_config_reruns_byte_for_byte(preset_results, tmp_path):

@@ -15,11 +15,12 @@ from nltomo.states import (
     density_from_pure,
     even_coherent_coefficients,
     ladder_expectations,
-    laguerre_value,
     log_factorials,
     photon_added_coefficients,
     tail_mass,
 )
+
+from conftest import laguerre_value
 
 
 def test_coherent_matches_direct_formula():

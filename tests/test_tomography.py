@@ -11,12 +11,13 @@ from nltomo.tomography import (
     Tomogram,
     conjugate_thetas,
     hermite_basis,
-    parse_dump,
     suggested_grid,
     symmetric_grid,
     tomogram_of_density,
     uniform_thetas,
 )
+
+from conftest import parse_dump
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 
