@@ -8,7 +8,7 @@ evolution: the nonclassical area of the quadrature spread and the sum
 of tomographic entropies in conjugate quadratures.
 """
 
-from .config import AmplitudeSolver, ExperimentConfig, Product, config_from_file, config_from_text
+from .config import ExperimentConfig, Product, config_from_file, config_from_text
 from .errors import NltomoError, NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
@@ -18,7 +18,6 @@ from .evolve import (
     TimeGrid,
     coherence_block_solve,
     integrate_master,
-    propagate_amplitude_damping_closed,
     propagate_phase_damping,
     propagate_unitary,
     revival_time,
@@ -47,7 +46,6 @@ from .tomography import QuadratureGrid, Tomogram, tomogram_of_density
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeSolver",
     "DampingChannel",
     "DampingSpec",
     "DensityMatrix",
@@ -79,7 +77,6 @@ __all__ = [
     "nonclassical_area",
     "oracle_report",
     "preset_names",
-    "propagate_amplitude_damping_closed",
     "propagate_phase_damping",
     "propagate_unitary",
     "revival_time",

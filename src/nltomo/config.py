@@ -7,7 +7,7 @@ cannot silently change an experiment.  :func:`config_to_text` writes the
 fully resolved configuration back out, which is what the preset runner
 stores next to its outputs for reproducibility.
 
-The README tables the 21 recognized keys.  :func:`config_from_text`
+The README tables the 20 recognized keys.  :func:`config_from_text`
 passes the dataclasses only the keys a text sets, so each default is
 stated once, on its dataclass field; the parser supplies just the two
 that no field carries (``state.delta = 0`` and ``damping.channel =
@@ -36,7 +36,6 @@ from .evolve import (
 from .states import InitialStateSpec, StateKind
 
 __all__ = [
-    "AmplitudeSolver",
     "Product",
     "ExperimentConfig",
     "parse_config_text",
@@ -44,13 +43,6 @@ __all__ = [
     "config_from_file",
     "config_to_text",
 ]
-
-
-class AmplitudeSolver(enum.Enum):
-    """Which amplitude-damping propagator the sweep uses."""
-
-    EXACT = "exact"
-    CLOSED_FORM = "closed_form"
 
 
 class Product(enum.Enum):
@@ -72,7 +64,6 @@ class ExperimentConfig:
     x_max: float | None = None
     n_x: int | None = None
     theta_count: int = 128
-    amplitude_solver: AmplitudeSolver = AmplitudeSolver.EXACT
     products: frozenset = frozenset({Product.QUANTIFIERS_CSV})
     tomograms_at: tuple[float, ...] = ()
     minima_prominence: float = 1e-3
@@ -108,10 +99,6 @@ class ExperimentConfig:
                 f"grid.theta_count must be an integer >= 4, got {self.theta_count!r}"
             )
         object.__setattr__(self, "theta_count", int(self.theta_count))
-        if not isinstance(self.amplitude_solver, AmplitudeSolver):
-            raise ValidationError(
-                f"solver.amplitude must be an AmplitudeSolver, got {self.amplitude_solver!r}"
-            )
         products = frozenset(self.products)
         for p in products:
             if not isinstance(p, Product):
@@ -137,6 +124,13 @@ class ExperimentConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if not self.name or any(c in self.name for c in "/\\"):
             raise ValidationError(f"out.name must be a bare file stem, got {self.name!r}")
+        # config_to_text writes these two verbatim, so each must parse back unchanged
+        for key, value in (("out.dir", str(self.out_dir)), ("out.name", self.name)):
+            if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+                raise ValidationError(
+                    f"{key} must hold no '#' or line break and no surrounding "
+                    f"whitespace, got {value!r}"
+                )
 
     @property
     def t_rev(self) -> float:
@@ -237,7 +231,6 @@ _RUN_KEYS = {
     "grid.x_max": ("x_max", _parse_float),
     "grid.n_x": ("n_x", _parse_int),
     "grid.theta_count": ("theta_count", _parse_int),
-    "solver.amplitude": ("amplitude_solver", _parse_enum(AmplitudeSolver)),
     "out.dir": ("out_dir", _verbatim),
     "out.name": ("name", _verbatim),
     "out.products": ("products", _parse_products),
@@ -337,7 +330,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         lines.append(f"grid.x_max = {cfg.x_max!r}")
         lines.append(f"grid.n_x = {cfg.n_x}")
     lines.append(f"grid.theta_count = {cfg.theta_count}")
-    lines.append(f"solver.amplitude = {cfg.amplitude_solver.value}")
     lines.append(f"out.dir = {cfg.out_dir}")
     lines.append(f"out.name = {cfg.name}")
     lines.append(

@@ -20,10 +20,8 @@ a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
 the eigenvectors of A_d.  Either form is closed in t, so any time list
 is evaluated directly, with no stepping; a cubic block whose
 eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
-The closed-form solver is the same cascade with the weight of the
-population block on every diagonal.  Phase damping (dephasing)
-multiplies each element by exp(-gamma (n-m)^2 t / 2) and commutes with
-the unitary part.
+Phase damping (dephasing) multiplies each element by
+exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
 Two references share only the generator, :func:`expm` and the block
 assembly with the batched path that sweeps and dumps take: the dense
@@ -52,7 +50,6 @@ __all__ = [
     "revival_time",
     "propagate_unitary",
     "propagate_phase_damping",
-    "propagate_amplitude_damping_closed",
     "coherence_block_solve",
     "amplitude_exact_states",
     "integrate_master",
@@ -277,27 +274,6 @@ def _from_blocks(packed: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def propagate_amplitude_damping_closed(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
-) -> DensityMatrix:
-    """Resummed binomial-cascade propagator for amplitude damping.
-
-    rho_nm(t) = e^{-i chi [f(n)-f(m)] t} e^{-gamma (n+m) t / 2}
-                * sum_k sqrt(C(n+k,k) C(m+k,k)) w^k rho_{n+k, m+k}(0),
-    with w = 1 - e^{-gamma t}.
-
-    The weight w is exact for the populations (d = 0) in any medium and
-    for every diagonal when chi = 0; with chi > 0 the off-diagonal
-    weights acquire a d-dependent phase that this form ignores, which is
-    why :func:`amplitude_exact_states` exists.  Trace is preserved by
-    construction.  This is one time of the batched cascade that a
-    ``solver.amplitude = closed_form`` sweep takes.
-    """
-    t = _validate_time(t)
-    gamma = _validate_gamma(gamma)
-    return next(_amplitude_states(rho0, medium, gamma, np.array([t]), exact=False))
-
-
 def coherence_block_solve(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
 ) -> DensityMatrix:
@@ -337,7 +313,7 @@ def amplitude_exact_states(
         raise ValidationError("times must be a non-empty 1-D array")
     if np.any(times < 0) or not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite and >= 0")
-    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times, exact=True)
+    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times)
 
 
 _CHUNK = 64  # times per batch; at dim 100: 5.2 MB of blocks, and 5.4 MB of C or V per call
@@ -345,7 +321,7 @@ _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
 
 
 def _block_series(
-    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray, exact: bool
+    medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """times -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array; built once per block.
 
@@ -355,9 +331,7 @@ def _block_series(
     with W[t, k] = w(t)^k and C[k, j] = B[j, j+k] x_{j+k}(0), zero where
     j + k >= J (B from :func:`_cascade_block`).  That holds for every
     Kerr block (delta = -(gamma + 2i chi d)) and for the population block
-    d = 0 in any medium (delta = -gamma).  With ``exact=False`` (the closed
-    form) every block takes delta = -gamma, which drops the d-dependent
-    phase of the coherences.  Otherwise cubic blocks with d >= 1 use the
+    d = 0 in any medium (delta = -gamma).  Cubic blocks with d >= 1 use the
     eigenvectors V of A_d (its eigenvalues are its diagonal, distinct for
     gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential
     at each time if cond_1(V) > _EIGEN_COND_MAX.
@@ -365,8 +339,8 @@ def _block_series(
     a, b = _block_generator(medium, phi, gamma, d)
     J = a.size
     j = np.arange(J)
-    if not exact or d == 0 or medium.kind is MediumKind.KERR:
-        delta = -(gamma + 2j * medium.chi * d) if exact else -gamma
+    if d == 0 or medium.kind is MediumKind.KERR:
+        delta = -(gamma + 2j * medium.chi * d)
         padded = np.zeros((J, 2 * J), dtype=np.complex128)
         np.multiply(_cascade_block(phi.size, d), x0, out=padded[:, :J])
         # C[k, j] = padded[j, j + k]; the zero half supplies j + k >= J
@@ -391,16 +365,15 @@ def _block_series(
 
 
 def _amplitude_states(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray, exact: bool
+    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
 ) -> Iterator[DensityMatrix]:
-    """Amplitude-damped states at ``times``, 64 at a time; ``exact=False``
-    gives the closed form of :func:`propagate_amplitude_damping_closed`."""
+    """Amplitude-damped states at ``times``, 64 at a time."""
     if gamma == 0.0:
         yield from (propagate_unitary(rho0, medium, t) for t in times)
         return
     phi = medium.phase_exponents(rho0.dim)
     x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
-    series = [_block_series(medium, phi, gamma, d, x, exact) for d, x in enumerate(x0)]
+    series = [_block_series(medium, phi, gamma, d, x) for d, x in enumerate(x0)]
     for start in range(0, times.size, _CHUNK):
         chunk = times[start : start + _CHUNK]
         packed = np.concatenate([block(chunk) for block in series], axis=1)

@@ -11,10 +11,10 @@ Two scalar witnesses are computed along an evolution:
   bounded below by 1 + ln(pi); the excess over the bound tracks
   nonclassical interference structure.
 
-Both have an analytic route through ladder-operator moments (exact in
-the truncated basis, used for long sweeps) and a tomographic route that
-integrates the actual quadrature histograms (used to cross-check the
-tomogram pipeline itself).
+The area has an analytic route through ladder-operator moments (exact
+in the truncated basis, used for sweeps) and a tomographic route that
+integrates the quadrature histograms (used to cross-check the tomogram
+pipeline itself).  The entropy sum has only the tomographic route.
 """
 
 from __future__ import annotations

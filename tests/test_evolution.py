@@ -1,12 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import gammaln
 
-from nltomo.config import AmplitudeSolver
 from nltomo.errors import NumericalInvariantError, ValidationError
 from nltomo.evolve import (
     DampingChannel,
@@ -18,13 +15,10 @@ from nltomo.evolve import (
     coherence_block_solve,
     expm,
     integrate_master,
-    propagate_amplitude_damping_closed,
     propagate_phase_damping,
     propagate_unitary,
     revival_time,
 )
-from nltomo.presets import preset_configs
-from nltomo.runner import _states
 from nltomo.states import (
     FockVector,
     InitialStateSpec,
@@ -184,27 +178,6 @@ def test_cubic_exact_amplitude_matches_reference():
     assert np.max(np.abs(cand.elements - ref.elements)) < 1e-10
 
 
-def test_closed_form_amplitude_is_exact_on_populations_only():
-    rho0 = padded_rho()
-    t = revival_time(KERR) / 2.0
-    ref = integrate_master(rho0, KERR, DampingSpec(DampingChannel.AMPLITUDE, 0.1), t)
-    closed = propagate_amplitude_damping_closed(rho0, KERR, 0.1, t)
-    diag_dev = np.max(np.abs(np.diag(closed.elements) - np.diag(ref.elements)))
-    assert diag_dev < 1e-10
-    # the single real weight ignores the d-dependent phase in the
-    # off-diagonal cascade; the discrepancy is structural, not noise
-    off_dev = np.max(np.abs(closed.elements - ref.elements))
-    assert off_dev > 1e-3
-
-
-def test_closed_form_reduces_to_unitary_without_damping():
-    rho0 = padded_rho()
-    t = 0.123
-    a = propagate_amplitude_damping_closed(rho0, KERR, 0.0, t)
-    b = propagate_unitary(rho0, KERR, t)
-    assert np.max(np.abs(a.elements - b.elements)) < 1e-14
-
-
 def test_factorial_variant_breaks_trace():
     amps = np.zeros(6)
     amps[2] = 1.0
@@ -230,16 +203,11 @@ def test_exact_solver_small_time_expansion():
     exact_0, exact_t = amplitude_exact_states(rho0, KERR, 0.1, np.array([0.0, t]))
     for rho_t in (coherence_block_solve(rho0, KERR, 0.1, t), exact_t):
         assert np.max(np.abs(rho_t.elements - first_order)) < 1e-13
-    # the closed form is exact on the populations only
-    closed_t = propagate_amplitude_damping_closed(rho0, KERR, 0.1, t)
-    assert np.max(np.abs(np.diag(closed_t.elements) - np.diag(first_order))) < 1e-13
-    closed_0 = propagate_amplitude_damping_closed(rho0, KERR, 0.1, 0.0)
     # the states are assembled from the lower triangle, with real
     # populations; rho0 is hermitian only to round-off
     lower = np.tril(rho0.elements, -1)
     expected = lower + lower.conj().T + np.diag(rho0.elements.diagonal().real)
     assert np.array_equal(exact_0.elements, expected)
-    assert np.array_equal(closed_0.elements, expected)
 
 
 def test_amplitude_asymptote_reaches_vacuum():
@@ -364,50 +332,6 @@ def test_amplitude_exact_states_matches_reference_at_fig8_size():
     for t, rho_t in zip(times, amplitude_exact_states(rho0, KERR, 0.05, times)):
         direct = coherence_block_solve(rho0, KERR, 0.05, float(t))
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
-
-
-def closed_form_by_block_matrices(rho0, medium, gamma, t):
-    """The closed form one time at a time, as one matrix per coherence block:
-    x_d(t) = diag(e^{a t}) (B o w^K) x_d(0), w = 1 - e^{-gamma t}, K = col - row,
-    B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k))."""
-    dim = rho0.dim
-    phi = medium.phase_exponents(dim)
-    w = -math.expm1(-gamma * t)
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for d in range(dim):
-        j = np.arange(dim - d)
-        row, col = j[:, None], j[None, :]
-        K = np.maximum(col - row, 0)
-        log_b = 0.5 * (
-            gammaln(col + d + 1.0) - gammaln(row + d + 1.0) + gammaln(col + 1.0) - gammaln(row + 1.0)
-        ) - gammaln(K + 1.0)
-        M = np.where(col >= row, np.exp(log_b) * w**K, 0.0)
-        a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
-        x = np.exp(a * t) * (M @ np.diagonal(rho0.elements, -d))
-        out[j + d, j] = x
-        out[j, j + d] = np.conj(x)
-    return out
-
-
-@pytest.mark.parametrize("preset", ["fig12", "fig8"], ids=["cubic-dim60", "kerr-dim100"])
-def test_closed_form_matches_block_matrices(preset):
-    # the photon-added run of each preset, swept with solver.amplitude =
-    # closed_form over its full grid (fig12: 500 times at dim 60, fig8: 700
-    # at dim 100)
-    cfg = replace(preset_configs(preset)[1], amplitude_solver=AmplitudeSolver.CLOSED_FORM)
-    assert cfg.initial_state.kind is StateKind.PHOTON_ADDED
-    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
-    gamma = cfg.damping.gamma
-    times = cfg.time_grid.values
-    checked = set(range(0, times.size, 50)) | {times.size - 1}
-    for i, rho_t in enumerate(_states(cfg, rho0, times)):
-        if i in checked:
-            ref = closed_form_by_block_matrices(rho0, cfg.medium, gamma, times[i])
-            assert np.max(np.abs(rho_t.elements - ref)) < 1e-12
-    for t in times[[0, times.size // 3, -1]]:
-        ref = closed_form_by_block_matrices(rho0, cfg.medium, gamma, t)
-        closed = propagate_amplitude_damping_closed(rho0, cfg.medium, gamma, t)
-        assert np.max(np.abs(closed.elements - ref)) < 1e-12
 
 
 def test_amplitude_exact_states_validation():

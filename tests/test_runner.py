@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -13,7 +14,7 @@ import nltomo
 from nltomo.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 from nltomo.config import (
     _KNOWN_KEYS,
-    AmplitudeSolver,
+    _RUN_KEYS,
     ExperimentConfig,
     Product,
     config_from_file,
@@ -91,7 +92,6 @@ def test_config_defaults():
     assert cfg.damping.channel is DampingChannel.NONE
     assert cfg.damping.gamma == 0.0
     assert cfg.theta_count == 128
-    assert cfg.amplitude_solver is AmplitudeSolver.EXACT
     assert cfg.products == frozenset({Product.QUANTIFIERS_CSV})
     assert cfg.x_max is None and cfg.n_x is None
     assert cfg.name == "run"
@@ -110,13 +110,20 @@ def test_readme_config_table_matches_parser():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|.*\| (.+) \|$", readme, re.M)
     assert {key for key, _ in rows} == _KNOWN_KEYS
+    # each run key has its field, and each field beyond the three specs its key
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert fields == {name for name, _ in _RUN_KEYS.values()} | {
+        "initial_state",
+        "medium",
+        "damping",
+    }
     base = config_from_text(REQUIRED_ONLY)
     # the parser's defaults are the dataclass defaults
     assert base == ExperimentConfig(
         initial_state=base.initial_state, medium=base.medium, damping=base.damping, dim=25
     )
     literal = [(key, default.strip("`")) for key, default in rows if default.startswith("`")]
-    assert len(literal) == 12
+    assert len(literal) == 11
     for key, value in literal:
         assert config_from_text(REQUIRED_ONLY + f"{key} = {value}\n") == base, key
 
@@ -156,7 +163,7 @@ def test_config_bad_values():
     with pytest.raises(ValidationError, match="expected a boolean"):
         config_from_text(BASE_TEXT + "sim.force = maybe\n")
     with pytest.raises(ValidationError, match="expected one of"):
-        config_from_text(BASE_TEXT + "medium.chi = 5\nsolver.amplitude = magic\n")
+        config_from_text(BASE_TEXT + "damping.channel = magic\n")
     with pytest.raises(ValidationError, match="out.products"):
         config_from_text(BASE_TEXT + "out.products = quantifiers_csv,plots\n")
     for delta in ("inf", "-inf"):
@@ -197,12 +204,29 @@ def test_experiment_config_validation():
         ExperimentConfig(**ok, name="a/b")
 
 
+@pytest.mark.parametrize("value", ["res#1", "two\nlines", " lead", "trail\t"])
+def test_config_rejects_out_values_that_read_back_differently(value):
+    # config_to_text writes out.dir and out.name verbatim, and the parser
+    # cuts a '#' comment, splits lines and strips values
+    ok = dict(
+        initial_state=InitialStateSpec(StateKind.COHERENT, 1.0 + 0.0j),
+        medium=MediumSpec(MediumKind.KERR, 5.0),
+        damping=DampingSpec(DampingChannel.NONE, 0.0),
+        dim=10,
+    )
+    with pytest.raises(ValidationError, match=r"out\.dir"):
+        ExperimentConfig(**ok, out_dir=Path(value))
+    with pytest.raises(ValidationError, match=r"out\.name"):
+        ExperimentConfig(**ok, name=value)
+    with pytest.raises(ValidationError, match=r"out\.dir"):
+        preset_configs("fig1", value)
+
+
 def test_config_roundtrip(tmp_path):
     text = (
         BASE_TEXT
         + "damping.channel = amplitude\ndamping.gamma = 0.1\n"
         + "grid.x_max = 9.5\ngrid.n_x = 191\n"
-        + "solver.amplitude = closed_form\n"
         + "out.products = quantifiers_csv,minima_report\n"
         + "out.tomograms_at = 0.05,0.25\n"
         + "out.minima_prominence = 0.002\n"
@@ -219,7 +243,6 @@ def test_config_roundtrip(tmp_path):
     assert back.steps == cfg.steps
     assert back.x_max == cfg.x_max and back.n_x == cfg.n_x
     assert back.theta_count == cfg.theta_count
-    assert back.amplitude_solver is cfg.amplitude_solver
     assert back.products == cfg.products
     assert back.tomograms_at == pytest.approx(cfg.tomograms_at, rel=1e-12)
     assert back.minima_prominence == pytest.approx(cfg.minima_prominence)
@@ -377,28 +400,6 @@ def test_oracle_report_exact_solver_passes(tmp_path):
     assert report.passed
     assert max(report.deviations) < 1e-10
     assert "# overall: PASS" in report.text
-    # amplitude channel also reports the closed-form split: exact diagonals,
-    # measurable off-diagonal gap
-    assert max(report.closed_diag_deviations) < 1e-8
-    assert max(report.closed_offdiag_deviations) > 1e-4
-    assert "offdiag_dev" in report.text
-
-
-def test_oracle_report_flags_closed_form(tmp_path):
-    cfg = ExperimentConfig(
-        initial_state=tiny_config(tmp_path).initial_state,
-        medium=MediumSpec(MediumKind.KERR, 5.0),
-        damping=DampingSpec(DampingChannel.AMPLITUDE, 0.4),
-        dim=12,
-        steps=2,
-        t_end_over_trev=0.3,
-        amplitude_solver=AmplitudeSolver.CLOSED_FORM,
-        name="oracle_closed",
-    )
-    report = oracle_report(cfg, samples=5)
-    assert not report.passed
-    assert max(report.deviations) > 1e-3
-    assert "FAIL" in report.text
 
 
 @pytest.mark.parametrize("preset", ["fig4", "fig12", "fig13", "fig14"])
@@ -480,6 +481,13 @@ def test_cli_preset_requires_name(capsys):
     assert "give a name or --list" in capsys.readouterr().err
 
 
+def test_cli_preset_rejects_out_dir_with_comment(tmp_path, capsys):
+    # its snapshot would read back as out.dir = <tmp_path>/res
+    assert main(["preset", "fig1", "--out", str(tmp_path / "res#1")]) == EXIT_VALIDATION
+    assert "out.dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_preset_unknown_name(capsys):
     assert main(["preset", "fig99"]) == EXIT_VALIDATION
     assert "unknown preset" in capsys.readouterr().err
@@ -495,7 +503,7 @@ def test_cli_converge(tmp_path, capsys):
     assert "--dims" in capsys.readouterr().err
 
 
-def test_cli_oracle_exit_codes(tmp_path, capsys):
+def test_cli_oracle_exit_codes(tmp_path, capsys, monkeypatch):
     exact = write_config_file(
         tmp_path,
         name="exact",
@@ -504,20 +512,17 @@ def test_cli_oracle_exit_codes(tmp_path, capsys):
     assert main(["oracle", str(exact), "--samples", "4"]) == EXIT_OK
     assert "# overall: PASS" in capsys.readouterr().out
 
-    closed = write_config_file(
-        tmp_path,
-        name="closed",
-        extra=(
-            "damping.channel = amplitude\ndamping.gamma = 0.4\n"
-            "solver.amplitude = closed_form\n"
-        ),
-    )
-    assert main(["oracle", str(closed), "--samples", "4"]) == EXIT_INVARIANT
-    assert "# overall: FAIL" in capsys.readouterr().out
-
     for samples in ("1", "0", "-3"):
         assert main(["oracle", str(exact), "--samples", samples]) == EXIT_VALIDATION
         assert "samples >= 2" in capsys.readouterr().err
+
+    # a propagator that leaves the state as it was fails the comparison
+    def frozen(rho0, medium, gamma, times):
+        return (rho0 for _ in times)
+
+    monkeypatch.setattr(nltomo.runner, "amplitude_exact_states", frozen)
+    assert main(["oracle", str(exact), "--samples", "4"]) == EXIT_INVARIANT
+    assert "# overall: FAIL" in capsys.readouterr().out
 
 
 def _child_env():
