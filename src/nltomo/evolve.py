@@ -23,6 +23,11 @@ eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
 Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
+Damped sweeps read the diagonals x_d(t) themselves, a batch of times at
+a time (:func:`coherence_diagonals`); the tomogram dumps and the reports
+take whole states (:func:`amplitude_exact_states` and the per-time
+``propagate_*`` functions).
+
 Two references share only the generator, :func:`expm` and the block
 assembly with the batched path that sweeps and dumps take: the dense
 exponential of each block at one time (:func:`coherence_block_solve`)
@@ -32,6 +37,7 @@ and of the full superoperator (:func:`integrate_master`).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -52,6 +58,7 @@ __all__ = [
     "propagate_phase_damping",
     "coherence_block_solve",
     "amplitude_exact_states",
+    "coherence_diagonals",
     "integrate_master",
 ]
 
@@ -260,14 +267,24 @@ def _block_generator(
     return a, b
 
 
+@functools.lru_cache(maxsize=8)
+def _lower_by_diagonal(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the lower triangle, diagonal by diagonal."""
+    rows, cols = np.tril_indices(dim)
+    order = np.argsort(rows - cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _from_blocks(packed: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix whose lower diagonals d = 0, 1, ... are the
     consecutive segments of packed, of lengths dim, dim - 1, ..."""
-    rows, cols = np.tril_indices(dim)
-    order = np.argsort(rows - cols, kind="stable")  # diagonal by diagonal
+    rows, cols = _lower_by_diagonal(dim)
     out = np.empty((dim, dim), dtype=np.complex128)
-    out[cols[order], rows[order]] = np.conj(packed)
-    out[rows[order], cols[order]] = packed
+    out[cols, rows] = np.conj(packed)
+    out[rows, cols] = packed
     # the populations of a hermitian input are real; discard the
     # accumulated roundoff in the imaginary part
     np.fill_diagonal(out, packed[:dim].real)
@@ -308,12 +325,35 @@ def amplitude_exact_states(
     coherence block is evaluated in closed form at 64 times at once by
     :func:`_block_series`, so no round-off accumulates along the list.
     """
+    times = _validate_times(times)
+    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times)
+
+
+def coherence_diagonals(
+    rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec, times: np.ndarray
+) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    """The coherence diagonals x_d = rho_{j+d, j} of the evolved state, 64 times at a time.
+
+    Yields one (chunk, diagonals) pair per run of up to 64 consecutive
+    times; ``diagonals`` yields x_d(chunk) as a (T, dim - d) array for
+    d = 0, 1, ..., dim - 1, one at a time, so no batch of whole states is
+    held.  Amplitude damping evaluates each block by :func:`_block_series`;
+    unitary evolution and dephasing multiply x_d(0) elementwise by
+    exp(t a_d), a_d = -i chi [f(j+d) - f(j)] - gamma d^2 / 2, the factor
+    of :func:`propagate_phase_damping`.  ``times`` is validated and the
+    per-block series are built on the call.
+    """
+    times = _validate_times(times)
+    return _chunks(_diagonal_series(rho0, medium, damping), times)
+
+
+def _validate_times(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D array")
     if np.any(times < 0) or not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite and >= 0")
-    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times)
+    return times
 
 
 _CHUNK = 64  # times per batch; at dim 100: 5.2 MB of blocks, and 5.4 MB of C or V per call
@@ -364,6 +404,37 @@ def _block_series(
     return lambda times: np.array([expm((np.diag(a) + np.diag(b, 1)) * t) @ x0 for t in times])
 
 
+def _diagonal_series(
+    rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec
+) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """times -> x_d(t) as a (T, dim - d) array, for d = 0, 1, ..., dim - 1."""
+    phi = medium.phase_exponents(rho0.dim)
+    x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
+    if damping.channel is DampingChannel.AMPLITUDE:
+        return [_block_series(medium, phi, damping.gamma, d, x) for d, x in enumerate(x0)]
+
+    def elementwise(d: int, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        a = -1j * medium.chi * (phi[d:] - phi[: phi.size - d]) - 0.5 * damping.gamma * d**2
+        return lambda times: x * np.exp(np.multiply.outer(times, a))
+
+    return [elementwise(d, x) for d, x in enumerate(x0)]
+
+
+def _chunks(
+    series: list[Callable[[np.ndarray], np.ndarray]], times: np.ndarray
+) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    for start in range(0, times.size, _CHUNK):
+        chunk = times[start : start + _CHUNK]
+        yield chunk, _evaluated(series, chunk)
+
+
+def _evaluated(
+    series: list[Callable[[np.ndarray], np.ndarray]], times: np.ndarray
+) -> Iterator[np.ndarray]:
+    # a function of its own, so each chunk's generator keeps its own times
+    return (block(times) for block in series)
+
+
 def _amplitude_states(
     rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
 ) -> Iterator[DensityMatrix]:
@@ -371,12 +442,9 @@ def _amplitude_states(
     if gamma == 0.0:
         yield from (propagate_unitary(rho0, medium, t) for t in times)
         return
-    phi = medium.phase_exponents(rho0.dim)
-    x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
-    series = [_block_series(medium, phi, gamma, d, x) for d, x in enumerate(x0)]
-    for start in range(0, times.size, _CHUNK):
-        chunk = times[start : start + _CHUNK]
-        packed = np.concatenate([block(chunk) for block in series], axis=1)
+    series = _diagonal_series(rho0, medium, DampingSpec(DampingChannel.AMPLITUDE, gamma))
+    for _, diagonals in _chunks(series, times):
+        packed = np.concatenate(list(diagonals), axis=1)
         for row in packed:
             yield DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
 

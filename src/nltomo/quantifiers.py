@@ -15,24 +15,33 @@ The area has an analytic route through ladder-operator moments (exact
 in the truncated basis, used for sweeps) and a tomographic route that
 integrates the quadrature histograms (used to cross-check the tomogram
 pipeline itself).  The entropy sum has only the tomographic route.
+
+:func:`compute_record` gives one CSV row for one density matrix; a
+unitary sweep calls it per state.  A damped sweep calls
+:func:`records_of_diagonals` instead, which computes the rows of a batch
+of times from the coherence diagonals, all times at once, with the same
+checks state by state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalInvariantError, ValidationError
-from .states import DensityMatrix, ladder_expectations
+from .states import DensityMatrix, first_refused_density, ladder_expectations
 from .tomography import (
     QuadratureGrid,
     Tomogram,
+    check_tomograms,
     conjugate_thetas,
     suggested_grid,
     symmetric_grid,
     tomogram_of_density,
+    tomograms_of_diagonals,
     uniform_thetas,
 )
 
@@ -48,6 +57,7 @@ __all__ = [
     "entropy_sum",
     "find_local_minima",
     "compute_record",
+    "records_of_diagonals",
 ]
 
 # S(theta) + S(theta + pi/2) >= 1 + ln(pi) for any quantum state
@@ -70,16 +80,31 @@ def quadrature_mean_variance(
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     mom = ladder_expectations(rho)
-    phase = np.exp(-1j * thetas)
-    mean = math.sqrt(2.0) * np.real(phase * mom.a)
-    second = mom.n + 0.5 + np.real(phase * phase * mom.a_squared)
-    var = second - mean**2
+    mean, var = _moment_mean_variance(mom.a, mom.a_squared, mom.n, thetas)
     bad = float(var.min())
     if bad <= 0.0:
-        raise NumericalInvariantError(
-            f"non-positive quadrature variance {bad:.3e}; state is unphysical"
-        )
+        raise _variance_error(bad)
     return mean, var
+
+
+def _moment_mean_variance(a, a_squared, n, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of X_theta, shape (..., n_theta), from <a>, <a^2>
+    and <N> given as scalars or as arrays over states."""
+    phase = np.exp(-1j * thetas)
+    mean = math.sqrt(2.0) * np.real(np.multiply.outer(a, phase))
+    second = np.asarray(n + 0.5)[..., None] + np.real(np.multiply.outer(a_squared, phase * phase))
+    return mean, second - mean**2
+
+
+def _variance_error(bad: float) -> NumericalInvariantError:
+    return NumericalInvariantError(
+        f"non-positive quadrature variance {bad:.3e}; state is unphysical"
+    )
+
+
+def _area(var: np.ndarray) -> np.ndarray:
+    """2 pi times the mean spread over the last (theta) axis, minus the coherent value."""
+    return 2.0 * math.pi * np.mean(np.sqrt(var), axis=-1) - COHERENT_AREA_BASELINE
 
 
 def variance_profile_from_tomogram(tomo: Tomogram) -> np.ndarray:
@@ -130,15 +155,16 @@ def nonclassical_area(
         var = variance_profile_from_tomogram(tomogram_of_density(rho, grid))
     else:
         raise ValidationError(f"method must be 'analytic' or 'tomographic', got {method!r}")
-    return float(2.0 * math.pi * np.mean(np.sqrt(var)) - COHERENT_AREA_BASELINE)
+    return float(_area(var))
 
 
-def _slice_entropy(values: np.ndarray, x: np.ndarray) -> float:
+def _slice_entropy(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of -omega ln omega over the last (x) axis."""
     # x ln x -> 0: clip the log argument; the factor in front keeps
     # genuinely tiny densities from contributing
     safe = np.maximum(values, _ENTROPY_FLOOR)
     integrand = np.where(values > _ENTROPY_FLOOR, -values * np.log(safe), 0.0)
-    return float(np.trapezoid(integrand, x))
+    return np.trapezoid(integrand, x, axis=-1)
 
 
 def tomographic_entropy(tomo: Tomogram, theta_index: int) -> float:
@@ -148,7 +174,7 @@ def tomographic_entropy(tomo: Tomogram, theta_index: int) -> float:
     window: it falls short of the full-line entropy by the entropy of
     the tomogram outside the window.
     """
-    return _slice_entropy(tomo.values[theta_index], tomo.grid.x)
+    return float(_slice_entropy(tomo.values[theta_index], tomo.grid.x))
 
 
 def entropy_pair(
@@ -288,3 +314,63 @@ def compute_record(
         trace=rho.trace(),
         purity=rho.purity(),
     )
+
+
+def records_of_diagonals(
+    times: np.ndarray,
+    diagonals: Iterable[np.ndarray],
+    t_rev: float,
+    theta_count: int,
+    x_window: tuple[float, int],
+) -> list[QuantifierRecord]:
+    """:func:`compute_record` for T states given by their coherence diagonals.
+
+    ``diagonals`` yields x_d = rho_{j+d, j} at ``times`` as (T, dim - d)
+    arrays for d = 0, 1, ..., dim - 1, as
+    :func:`~nltomo.evolve.coherence_diagonals` does.  One pass over them
+    builds the two-slice tomograms (:func:`tomograms_of_diagonals`) and
+    the moments: the trace and <N> from d = 0, <a> from d = 1, <a^2> from
+    d = 2, and the purity sum_d c_d |x_d|^2 with c_0 = 1, c_d = 2.  The
+    area and the entropies then follow for all T states at once.  Every
+    state is checked as :class:`DensityMatrix`, :func:`nonclassical_area`
+    and :func:`entropy_pair` check it, in that order, state by state: the
+    first failing check raises, after the ``off-grid`` warnings of the
+    states before it.
+    """
+    T = times.size
+    finite = np.ones(T, dtype=bool)
+    purity = np.zeros(T)
+    low: list[np.ndarray] = []
+
+    def tally(diagonals: Iterable[np.ndarray]):
+        nonlocal finite, purity
+        for d, x_d in enumerate(diagonals):
+            finite = finite & np.isfinite(x_d).all(axis=1)
+            purity = purity + (1.0 if d == 0 else 2.0) * np.sum(np.abs(x_d) ** 2, axis=1)
+            if d < 3:
+                low.append(x_d)
+            yield x_d
+
+    x_max, n_x = x_window
+    grid = symmetric_grid(x_max, int(n_x), conjugate_thetas(0.0))
+    values = tomograms_of_diagonals(tally(diagonals), grid)
+    populations = low[0].real
+    n = np.arange(populations.shape[1], dtype=np.float64)
+    trace = populations.sum(axis=1)
+    zero = np.zeros(T, dtype=np.complex128)
+    a = low[1] @ np.sqrt(n[1:]) if len(low) > 1 else zero
+    a_squared = low[2] @ np.sqrt(n[1:-1] * n[2:]) if len(low) > 2 else zero
+    _, var = _moment_mean_variance(a, a_squared, populations @ n, np.asarray(uniform_thetas(theta_count)))
+
+    k_state, refusal = first_refused_density(finite, trace)
+    var_low = var[:k_state].min(axis=1)
+    k_var = int(np.argmax(var_low <= 0.0)) if np.any(var_low <= 0.0) else k_state
+    check_tomograms(values[:, :k_var], grid.x)
+    if k_var < k_state:
+        raise _variance_error(float(var_low[k_var]))
+    if refusal is not None:
+        raise refusal
+
+    s0, s90 = _slice_entropy(values, grid.x)
+    columns = (times, times / t_rev, _area(var), s0, s90, s0 + s90, trace, purity)
+    return [QuantifierRecord(*row) for row in zip(*(c.tolist() for c in columns))]

@@ -6,9 +6,13 @@ propagator selected by the damping channel, computes one
 row invariants (trace and the entropic uncertainty bound), and
 writes the CSV / tomogram-dump / minima-report products.
 
-The sweep, the tomogram dumps, the convergence sweep and the oracle all
-take their states from one generator, so the oracle checks the
-propagator the sweep uses.  Outputs are deterministic for a fixed
+A damped sweep never forms a state: it takes the coherence diagonals of
+up to 64 times at once from :func:`~nltomo.evolve.coherence_diagonals`
+and computes their records together
+(:func:`~nltomo.quantifiers.records_of_diagonals`).  A unitary sweep
+computes one record per state.  The tomogram dumps, the convergence
+sweep and the oracle take whole states from one generator, which shares
+each propagator with the sweep.  Outputs are deterministic for a fixed
 configuration.
 """
 
@@ -25,6 +29,7 @@ from .errors import NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
     amplitude_exact_states,
+    coherence_diagonals,
     integrate_master,
     propagate_phase_damping,
     propagate_unitary,
@@ -35,6 +40,7 @@ from .quantifiers import (
     compute_record,
     find_local_minima,
     nonclassical_area,
+    records_of_diagonals,
 )
 from .states import DensityMatrix, density_from_pure, ladder_expectations, tail_mass
 from .tomography import suggested_grid, symmetric_grid, tomogram_of_density, uniform_thetas
@@ -74,6 +80,20 @@ def _states(
     if damping.channel is DampingChannel.PHASE:
         return (propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times)
     return amplitude_exact_states(rho0, medium, damping.gamma, times)
+
+
+def _records(
+    cfg: ExperimentConfig, rho0: DensityMatrix, times: np.ndarray, window: tuple[float, int]
+) -> tuple[QuantifierRecord, ...]:
+    if cfg.damping.channel is DampingChannel.NONE:
+        return tuple(
+            compute_record(rho_t, t, cfg.t_rev, cfg.theta_count, window)
+            for rho_t, t in zip(_states(cfg, rho0, times), times)
+        )
+    records: list[QuantifierRecord] = []
+    for chunk, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, times):
+        records += records_of_diagonals(chunk, diagonals, cfg.t_rev, cfg.theta_count, window)
+    return tuple(records)
 
 
 def _resolve_window(cfg: ExperimentConfig, rho0: DensityMatrix) -> tuple[float, int]:
@@ -142,10 +162,7 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
     )
     records: tuple[QuantifierRecord, ...] = ()
     if needs_sweep:
-        records = tuple(
-            compute_record(rho_t, t, t_rev, cfg.theta_count, window)
-            for rho_t, t in zip(_states(cfg, rho0, times), times)
-        )
+        records = _records(cfg, rho0, times, window)
         for rec in records:
             _check_row_invariants(rec)
 

@@ -30,6 +30,7 @@ __all__ = [
     "even_coherent_coefficients",
     "build_state",
     "density_from_pure",
+    "first_refused_density",
     "ladder_expectations",
     "tail_mass",
 ]
@@ -131,6 +132,13 @@ class FockVector:
         return np.abs(self.amplitudes) ** 2
 
 
+_NON_FINITE = "density matrix contains non-finite entries"
+
+
+def _trace_error(dev: float) -> NumericalInvariantError:
+    return NumericalInvariantError(f"trace deviates from 1 by {dev:.3e} (tol {_TRACE_TOL:.0e})")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace density matrix in the truncated Fock basis.
@@ -152,7 +160,7 @@ class DensityMatrix:
                 f"elements shape {mat.shape} does not match dim {self.dim}"
             )
         if not np.all(np.isfinite(mat)):
-            raise ValidationError("density matrix contains non-finite entries")
+            raise ValidationError(_NON_FINITE)
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > _HERM_TOL:
             raise NumericalInvariantError(
@@ -160,9 +168,7 @@ class DensityMatrix:
             )
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
         if trace_dev > _TRACE_TOL:
-            raise NumericalInvariantError(
-                f"trace deviates from 1 by {trace_dev:.3e} (tol {_TRACE_TOL:.0e})"
-            )
+            raise _trace_error(trace_dev)
         object.__setattr__(self, "elements", _as_locked_array(mat, np.complex128))
 
     def trace(self) -> float:
@@ -316,6 +322,27 @@ def density_from_pure(state: FockVector) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
     amps = state.amplitudes
     return DensityMatrix(state.dim, np.outer(amps, amps.conj()))
+
+
+def first_refused_density(
+    finite: np.ndarray, trace: np.ndarray
+) -> tuple[int, Exception | None]:
+    """(k, error) for the first state of a batch that :class:`DensityMatrix`
+    refuses, or (T, None) when it takes all T.
+
+    ``finite`` says whether each state's entries are all finite, and
+    ``trace`` holds each trace; the checks and their messages are those of
+    :class:`DensityMatrix`, bar hermiticity, which a state assembled from
+    its lower diagonals has by construction.
+    """
+    dev = np.abs(trace - 1.0)
+    bad = ~finite | (dev > _TRACE_TOL)
+    if not bad.any():
+        return bad.size, None
+    k = int(np.argmax(bad))
+    if not finite[k]:
+        return k, ValidationError(_NON_FINITE)
+    return k, _trace_error(float(dev[k]))
 
 
 def ladder_expectations(rho: DensityMatrix) -> LadderExpectations:

@@ -19,12 +19,19 @@ is real by construction and computed in real arithmetic.
 Hermite functions are generated by the normalized three-term
 recurrence, which stays bounded where the textbook H_n / sqrt(2^n n!)
 route overflows near n ~ 90.
+
+:func:`tomogram_of_density` takes one density matrix.  A damped sweep
+never forms one: :func:`tomograms_of_diagonals` builds the slices of a
+batch of states diagonal by diagonal, and :func:`check_tomograms` applies
+the per-state checks to the batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +49,8 @@ __all__ = [
     "symmetric_grid",
     "suggested_grid",
     "tomogram_of_density",
+    "tomograms_of_diagonals",
+    "check_tomograms",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -50,13 +59,26 @@ TWO_PI = 2.0 * math.pi
 _NORM_WARN = 1e-8
 _NORM_FAIL = 1e-4
 _NEG_TOL = 1e-12
+_NON_FINITE = "tomogram contains non-finite values"
 
 
 def uniform_thetas(count: int) -> tuple[float, ...]:
     """count equally spaced phases in [0, 2*pi): k * 2*pi / count."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValidationError(f"count must be an integer >= 1, got {count!r}")
+    return _uniform_thetas(int(count))
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_thetas(count: int) -> tuple[float, ...]:
     return tuple(float(k) * TWO_PI / count for k in range(count))
+
+
+@functools.lru_cache(maxsize=32)
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    x = np.linspace(lo, hi, n)
+    x.setflags(write=False)
+    return x
 
 
 def conjugate_thetas(theta: float) -> tuple[float, float]:
@@ -100,7 +122,8 @@ class QuadratureGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        """The n_x sample points, read-only and shared by equal windows."""
+        return _linspace(self.x_min, self.x_max, self.n_x)
 
     @property
     def n_theta(self) -> int:
@@ -185,12 +208,10 @@ class Tomogram:
         if vals.shape != expected:
             raise ValidationError(f"values shape {vals.shape}, expected {expected}")
         if not np.all(np.isfinite(vals)):
-            raise ValidationError("tomogram contains non-finite values")
+            raise ValidationError(_NON_FINITE)
         low = float(vals.min())
         if low < -_NEG_TOL:
-            raise NumericalInvariantError(
-                f"tomogram negativity {low:.3e} below -{_NEG_TOL:.0e}"
-            )
+            raise _negativity_error(low)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -219,19 +240,31 @@ class Tomogram:
         return path
 
 
+def _negativity_error(low: float) -> NumericalInvariantError:
+    return NumericalInvariantError(f"tomogram negativity {low:.3e} below -{_NEG_TOL:.0e}")
+
+
+def _normalization_error(dev: float) -> NumericalInvariantError:
+    return NumericalInvariantError(
+        f"tomogram slice normalization off by {dev:.3e}; "
+        "the x-window is too narrow for this state"
+    )
+
+
+def _warn_off_grid(dev: float, stacklevel: int) -> None:
+    warnings.warn(
+        f"tomogram slice mass off-grid ~ {dev:.3e}; consider widening the x-window",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 def _check_normalization(tomo: Tomogram) -> None:
     dev = float(np.max(np.abs(tomo.integral_per_theta() - 1.0)))
     if dev > _NORM_FAIL:
-        raise NumericalInvariantError(
-            f"tomogram slice normalization off by {dev:.3e}; "
-            "the x-window is too narrow for this state"
-        )
+        raise _normalization_error(dev)
     if dev > _NORM_WARN:
-        warnings.warn(
-            f"tomogram slice mass off-grid ~ {dev:.3e}; consider widening the x-window",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn_off_grid(dev, stacklevel=3)
 
 
 def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
@@ -253,3 +286,62 @@ def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
     tomo = Tomogram(grid, values)
     _check_normalization(tomo)
     return tomo
+
+
+def tomograms_of_diagonals(
+    diagonals: Iterable[np.ndarray], grid: QuadratureGrid
+) -> np.ndarray:
+    """Tomograms of a batch of T states given by their coherence diagonals.
+
+    ``diagonals`` yields x_d = rho_{j+d, j} as a (T, dim - d) array, one
+    row per state, for d = 0, 1, ..., dim - 1.  Pairing rho_{j+d, j} with
+    its conjugate rho_{j, j+d} turns the tomogram into
+
+        omega(x, theta) = sum_d c_d sum_j psi_{j+d}(x) psi_j(x) Re(e^{-i d theta} x_{d,j}),
+
+    c_0 = 1 and c_d = 2 for d >= 1, so each diagonal adds one real product
+    of its rotated real parts, (n_theta T, J), with the basis products
+    psi_{j+d} psi_j, (J, n_x), built for that diagonal alone.  Returns
+    values[i, k, j] = omega_k(x_j, theta_i), unchecked: see
+    :func:`check_tomograms`.
+    """
+    out = None
+    for d, x_d in enumerate(diagonals):
+        if out is None:
+            T, dim = x_d.shape
+            psi = _cached_basis(dim, grid)
+            out = np.zeros((grid.n_theta * T, grid.n_x))
+        weight = 1.0 if d == 0 else 2.0
+        rotated = np.concatenate(
+            [
+                weight * math.cos(d * theta) * x_d.real + weight * math.sin(d * theta) * x_d.imag
+                for theta in grid.thetas
+            ]
+        )
+        out += rotated @ (psi[:, d:] * psi[:, : dim - d]).T
+    return out.reshape(grid.n_theta, T, grid.n_x)
+
+
+def check_tomograms(values: np.ndarray, x: np.ndarray) -> None:
+    """The checks of :func:`tomogram_of_density` on a batch, state by state.
+
+    ``values`` has shape (n_theta, T, n_x).  For each state in turn: no
+    non-finite value, no value below -1e-12, and every slice's trapezoid
+    mass within 1e-4 of 1, else the ``off-grid`` RuntimeWarning above
+    1e-8.  The first state that fails raises, after the warnings of the
+    states before it.
+    """
+    finite = np.isfinite(values).all(axis=(0, 2))
+    low = values.min(axis=(0, 2))
+    dev = np.abs(np.trapezoid(values, x, axis=-1) - 1.0).max(axis=0)
+    bad = ~finite | (low < -_NEG_TOL) | (dev > _NORM_FAIL)
+    stop = int(np.argmax(bad)) if bad.any() else bad.size
+    for k in np.flatnonzero(dev[:stop] > _NORM_WARN):
+        _warn_off_grid(float(dev[k]), stacklevel=2)
+    if stop == bad.size:
+        return
+    if not finite[stop]:
+        raise ValidationError(_NON_FINITE)
+    if low[stop] < -_NEG_TOL:
+        raise _negativity_error(float(low[stop]))
+    raise _normalization_error(float(dev[stop]))

@@ -11,8 +11,11 @@ from nltomo.evolve import (
     MediumKind,
     MediumSpec,
     TimeGrid,
+    _from_blocks,
+    _lower_by_diagonal,
     amplitude_exact_states,
     coherence_block_solve,
+    coherence_diagonals,
     expm,
     integrate_master,
     propagate_phase_damping,
@@ -415,3 +418,50 @@ def test_propagator_time_validation():
     back = propagate_unitary(rho0, KERR, -0.2)
     fwd = propagate_unitary(back, KERR, 0.2)
     assert np.max(np.abs(fwd.elements - rho0.elements)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "damping",
+    [NO_DAMP, DampingSpec(DampingChannel.PHASE, 0.3), DampingSpec(DampingChannel.AMPLITUDE, 0.3)],
+    ids=["none", "phase", "amplitude"],
+)
+@pytest.mark.parametrize("medium", [KERR, CUBIC], ids=["kerr", "cubic"])
+def test_coherence_diagonals_are_those_of_the_states(medium, damping):
+    rho0 = padded_rho(dim=12)
+    times = np.linspace(0.0, 0.4, 70)
+    if damping.channel is DampingChannel.AMPLITUDE:
+        states = list(amplitude_exact_states(rho0, medium, damping.gamma, times))
+    else:
+        states = [propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times]
+    chunks = list(coherence_diagonals(rho0, medium, damping, times))
+    assert [chunk.size for chunk, _ in chunks] == [64, 6]
+    start = 0
+    for chunk, diagonals in chunks:
+        assert np.array_equal(chunk, times[start : start + chunk.size])
+        for d, x_d in enumerate(diagonals):
+            want = np.array([np.diagonal(s.elements, -d) for s in states[start : start + chunk.size]])
+            if d == 0 and damping.channel is DampingChannel.AMPLITUDE:
+                x_d = x_d.real  # the states keep the real part of the populations
+            # bit for bit: the same elementwise factor or the same block series
+            assert np.array_equal(x_d, want)
+        start += chunk.size
+    with pytest.raises(ValidationError):
+        coherence_diagonals(rho0, medium, damping, [])
+
+
+def test_from_blocks_index_order_is_cached_and_unchanged():
+    dim = 7
+    packed = np.arange(dim * (dim + 1) // 2) * (1.0 + 0.5j)
+    first = _from_blocks(packed, dim)
+    expected = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for d in range(dim):
+        seg = packed[start : start + dim - d]
+        expected += np.diag(seg, -d) + (np.diag(seg.conj(), d) if d else 0)
+        start += dim - d
+    np.fill_diagonal(expected, packed[:dim].real)
+    assert np.array_equal(first, expected)
+    rows, cols = _lower_by_diagonal(dim)
+    assert _lower_by_diagonal(dim)[0] is rows
+    assert not rows.flags.writeable and not cols.flags.writeable
+    assert np.array_equal(_from_blocks(packed, dim), first)

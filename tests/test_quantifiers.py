@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from nltomo.errors import ValidationError
+from nltomo.errors import NumericalInvariantError, ValidationError
 from nltomo.evolve import (
     MediumKind,
     MediumSpec,
@@ -21,6 +21,7 @@ from nltomo.quantifiers import (
     find_local_minima,
     nonclassical_area,
     quadrature_mean_variance,
+    records_of_diagonals,
     tomographic_entropy,
     variance_profile_from_tomogram,
 )
@@ -292,3 +293,65 @@ def test_area_is_invariant_under_phase_rotation():
         phases = np.exp(-1j * phi * n)
         rotated = DensityMatrix(60, phases[:, None] * rho.elements * phases.conj()[None, :])
         assert abs(nonclassical_area(rotated) - base) < 1e-8
+
+
+# --- batched records -----------------------------------------------------------
+
+
+def vacuum_with(x1=0.0, x2=0.0, p0=1.0):
+    """3-level Hermitian matrix: populations (p0, 0, 0), rho_10 = x1, rho_20 = x2."""
+    m = np.zeros((3, 3), dtype=np.complex128)
+    m[0, 0] = p0
+    m[1, 0], m[0, 1] = x1, np.conj(x1)
+    m[2, 0], m[0, 2] = x2, np.conj(x2)
+    return m
+
+
+GOOD = vacuum_with()
+BAD_VARIANCE = vacuum_with(x2=1.0)  # Var X_0 = 1/2 - sqrt(2) < 0
+BAD_TOMOGRAM = vacuum_with(x2=0.2)  # variances positive, omega(x, pi/2) < 0 at |x| > 1.5
+BAD_TRACE = vacuum_with(p0=1.0 + 1e-8)
+NON_FINITE = vacuum_with(x1=complex(np.nan, 0.0))
+WINDOW = (6.0, 121)
+
+
+def first_refusal(run):
+    try:
+        run()
+    except (ValidationError, NumericalInvariantError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_state_refusal(mats):
+    def run():
+        for t, m in enumerate(mats):
+            compute_record(DensityMatrix(3, m), float(t), 1.0, 16, WINDOW)
+
+    return first_refusal(run)
+
+
+def batched_refusal(mats):
+    diagonals = (np.array([np.diagonal(m, -d) for m in mats]) for d in range(3))
+    times = np.arange(len(mats), dtype=np.float64)
+    return first_refusal(lambda: records_of_diagonals(times, diagonals, 1.0, 16, WINDOW))
+
+
+@pytest.mark.parametrize(
+    "mats, expected",
+    [
+        ([GOOD, BAD_VARIANCE, BAD_TRACE], "non-positive quadrature variance"),
+        ([GOOD, BAD_TRACE, BAD_VARIANCE], "trace deviates from 1 by 1.000e-08 (tol 1e-10)"),
+        ([BAD_TOMOGRAM, BAD_VARIANCE], "tomogram negativity"),
+        ([BAD_VARIANCE, BAD_TOMOGRAM], "non-positive quadrature variance"),
+        ([GOOD, NON_FINITE, BAD_VARIANCE], "density matrix contains non-finite entries"),
+        ([GOOD, GOOD, BAD_TOMOGRAM], "tomogram negativity"),
+    ],
+)
+def test_records_of_diagonals_refuse_as_the_per_state_path(mats, expected):
+    # the first state that fails any check decides, with the check order of
+    # DensityMatrix, nonclassical_area and entropy_pair within a state
+    want = per_state_refusal(mats)
+    assert want is not None and expected in want[1]
+    assert batched_refusal(mats) == want
+

@@ -25,9 +25,15 @@ from nltomo.config import (
 from nltomo.errors import ValidationError
 from nltomo.evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec
 from nltomo.presets import preset_configs, preset_description, preset_names
-from nltomo.quantifiers import QuantifierRecord
-from nltomo.runner import convergence_sweep, oracle_report, run_experiment
-from nltomo.states import InitialStateSpec, StateKind
+from nltomo.quantifiers import QuantifierRecord, compute_record
+from nltomo.runner import (
+    _resolve_window,
+    _states,
+    convergence_sweep,
+    oracle_report,
+    run_experiment,
+)
+from nltomo.states import InitialStateSpec, StateKind, density_from_pure
 
 from conftest import parse_dump
 
@@ -346,6 +352,102 @@ def test_truncation_check(tmp_path):
         run_experiment(ExperimentConfig(**base))
     result = run_experiment(ExperimentConfig(**base, force=True))
     assert len(result.records) == 2
+
+
+# --- damped sweeps: batched records -------------------------------------------
+
+
+def per_state_records(cfg):
+    """compute_record on each state of the sweep, one state at a time."""
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    window = _resolve_window(cfg, rho0)
+    times = cfg.time_grid.values
+    return [
+        compute_record(rho, t, cfg.t_rev, cfg.theta_count, window)
+        for rho, t in zip(_states(cfg, rho0, times), times)
+    ]
+
+
+def assert_records_match(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for rec, ref in zip(got, want):
+        for name, value, expected in zip(QuantifierRecord.FIELDS, rec.as_row(), ref.as_row()):
+            assert abs(value - expected) <= tol, (name, rec.t, value, expected)
+
+
+ALPHA = math.sqrt(3.0) * complex(math.cos(0.7), math.sin(0.7))
+FAMILIES = {
+    "coherent": InitialStateSpec(StateKind.COHERENT, ALPHA),
+    "photon_added": InitialStateSpec(StateKind.PHOTON_ADDED, ALPHA, 2),
+    "even": InitialStateSpec(StateKind.EVEN_COHERENT, ALPHA),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
+@pytest.mark.parametrize(
+    "damping",
+    [DampingSpec(DampingChannel.AMPLITUDE, 0.1), DampingSpec(DampingChannel.PHASE, 0.05)],
+    ids=["amplitude", "phase"],
+)
+def test_damped_sweep_records_match_per_state_records(tmp_path, family, kind, damping):
+    # 70 times: two batches of diagonals, the second one partial
+    cfg = ExperimentConfig(
+        initial_state=FAMILIES[family],
+        medium=MediumSpec(kind, 5.0),
+        damping=damping,
+        dim=26,
+        steps=70,
+        t_end_over_trev=0.6,
+        out_dir=tmp_path,
+        name="batched",
+    )
+    assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
+
+
+def test_damped_sweep_records_match_per_state_records_at_fig8_size(tmp_path):
+    # Kerr amplitude damping at dim 100 with |alpha|^2 = 40
+    cfg = replace(preset_configs("fig8", tmp_path)[0], steps=60)
+    assert cfg.dim == 100 and cfg.damping.channel is DampingChannel.AMPLITUDE
+    assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
+
+
+TIGHT_WINDOW_TEXT = """\
+# coherent |alpha|^2 = 20: the theta = 0 slice is centred at x = 6.32
+state.kind = coherent
+state.alpha_sq = 20.0
+medium.kind = kerr
+damping.gamma = 0.05
+sim.dim = 60
+sim.steps = 3
+sim.t_end_over_trev = 0.01
+"""
+
+
+@pytest.mark.parametrize("channel", ["amplitude", "phase"])
+def test_damped_sweep_warns_on_a_tight_window(tmp_path, channel):
+    cfg = config_from_text(
+        TIGHT_WINDOW_TEXT
+        + f"damping.channel = {channel}\ngrid.x_max = 10.1\ngrid.n_x = 203\n"
+        + f"out.dir = {tmp_path}\n"
+    )
+    with pytest.warns(RuntimeWarning, match="off-grid") as caught:
+        result = run_experiment(cfg)
+    assert len(result.records) == 3
+    assert sum("off-grid" in str(w.message) for w in caught) == 3
+
+
+@pytest.mark.parametrize("channel", ["amplitude", "phase"])
+def test_cli_run_exits_3_when_the_window_cuts_the_state(tmp_path, capsys, channel):
+    path = tmp_path / "cut.cfg"
+    path.write_text(
+        TIGHT_WINDOW_TEXT
+        + f"damping.channel = {channel}\ngrid.x_max = 7\ngrid.n_x = 141\n"
+        + f"out.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(path)]) == EXIT_INVARIANT
+    assert "tomogram slice normalization off by" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cut.csv").exists()
 
 
 # --- convergence and oracle reports ---------------------------------------------

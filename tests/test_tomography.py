@@ -9,11 +9,13 @@ from nltomo.states import FockVector, InitialStateSpec, StateKind, density_from_
 from nltomo.tomography import (
     QuadratureGrid,
     Tomogram,
+    check_tomograms,
     conjugate_thetas,
     hermite_basis,
     suggested_grid,
     symmetric_grid,
     tomogram_of_density,
+    tomograms_of_diagonals,
     uniform_thetas,
 )
 
@@ -215,6 +217,55 @@ def test_tomogram_negativity_guard():
         Tomogram(grid, values)
     with pytest.raises(ValidationError):
         Tomogram(grid, np.ones((2, 11)))
+
+
+def test_grid_points_and_thetas_are_cached_read_only():
+    x = QuadratureGrid(-5.0, 5.0, 101).x
+    assert x is QuadratureGrid(-5.0, 5.0, 101, (1.0,)).x
+    assert not x.flags.writeable
+    assert np.array_equal(x, np.linspace(-5.0, 5.0, 101))
+    assert uniform_thetas(3) is uniform_thetas(3)
+    # the argument is checked before the cache is consulted
+    with pytest.raises(ValidationError):
+        uniform_thetas(3.0)
+
+
+def test_tomograms_of_diagonals_match_tomogram_of_density():
+    states = [
+        density_from_pure(InitialStateSpec(StateKind.PHOTON_ADDED, 1.2 + 0.7j, 2).build(30)),
+        propagate_unitary(coherent_rho(1.5 - 0.4j, 30), KERR, 0.05),
+    ]
+    grid = symmetric_grid(9.0, 181, (0.0, 0.3, 0.5 * math.pi))
+    diagonals = (np.array([np.diagonal(r.elements, -d) for r in states]) for d in range(30))
+    values = tomograms_of_diagonals(diagonals, grid)
+    assert values.shape == (3, 2, 181)
+    for k, rho in enumerate(states):
+        assert np.allclose(values[:, k], tomogram_of_density(rho, grid).values, rtol=0, atol=1e-14)
+
+
+def gaussian_slices(x, scales):
+    """(2, T, n_x) vacuum slices, state k scaled by scales[k]."""
+    slice_ = np.exp(-x * x) / math.sqrt(math.pi)
+    return np.array([[s * slice_ for s in scales]] * 2)
+
+
+def test_check_tomograms_goes_state_by_state():
+    x = symmetric_grid(8.0, 321, (0.0,)).x
+    check_tomograms(gaussian_slices(x, [1.0, 1.0]), x)
+    # the warnings of the states before the first failure, then its error
+    with pytest.warns(RuntimeWarning, match="off-grid ~ 1.000e-06") as caught:
+        with pytest.raises(NumericalInvariantError, match="normalization off by 1.000e-03"):
+            check_tomograms(gaussian_slices(x, [1.0, 1.0 + 1e-6, 1.0 + 1e-3, 2.0]), x)
+    assert len(caught) == 1
+    values = gaussian_slices(x, [1.0 + 1e-6, 1.0, 1.0 + 1e-3])
+    values[0, 1, 0] = -1e-6
+    with pytest.warns(RuntimeWarning, match="off-grid"):
+        with pytest.raises(NumericalInvariantError, match="tomogram negativity -1.000e-06 below -1e-12"):
+            check_tomograms(values, x)
+    values[1, 1, 3] = np.inf
+    with pytest.warns(RuntimeWarning, match="off-grid"):
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_tomograms(values, x)
 
 
 # --- dump format -------------------------------------------------------------
