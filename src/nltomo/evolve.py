@@ -23,15 +23,16 @@ eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
 Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
-Damped sweeps read the diagonals x_d(t) themselves, a batch of times at
-a time (:func:`coherence_diagonals`); the tomogram dumps and the reports
-take whole states (:func:`amplitude_exact_states` and the per-time
-``propagate_*`` functions).
+Every channel evolves by one path: :func:`coherence_diagonals` yields
+the diagonals x_d(t) for a batch of times at a time, which damped sweeps
+read directly, and :func:`evolved_states` assembles them into whole
+states for the tomogram dumps and the reports.
 
-Two references share only the generator, :func:`expm` and the block
-assembly with the batched path that sweeps and dumps take: the dense
-exponential of each block at one time (:func:`coherence_block_solve`)
-and of the full superoperator (:func:`integrate_master`).
+The per-time ``propagate_*`` functions and two dense references check
+that path: the exponential of each block at one time
+(:func:`coherence_block_solve`) and of the full superoperator
+(:func:`integrate_master`), which share only the generator, :func:`expm`
+and the block assembly with it.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ __all__ = [
     "propagate_unitary",
     "propagate_phase_damping",
     "coherence_block_solve",
-    "amplitude_exact_states",
     "coherence_diagonals",
+    "evolved_states",
     "integrate_master",
 ]
 
@@ -229,20 +230,14 @@ def expm(M: np.ndarray) -> np.ndarray:
     return total
 
 
-_block_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _cascade_block(dim: int, d: int) -> np.ndarray:
-    """Binomial amplitudes of block d, cached.
+    """Binomial amplitudes of block d, cached and read-only.
 
     Returns B of shape (J, J) with J = dim - d, where
     B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k)) couples x_j(t) to x_{j+k}(0).
     Entries below the diagonal are zero.
     """
-    key = (dim, d)
-    cached = _block_cache.get(key)
-    if cached is not None:
-        return cached
     J = dim - d
     row = np.arange(J, dtype=np.int64)[:, None]
     col = np.arange(J, dtype=np.int64)[None, :]
@@ -253,7 +248,6 @@ def _cascade_block(dim: int, d: int) -> np.ndarray:
     ) - log_fact[np.maximum(K, 0)]
     B = np.where(K >= 0, np.exp(log_b), 0.0)
     B.setflags(write=False)
-    _block_cache[key] = B
     return B
 
 
@@ -298,9 +292,9 @@ def coherence_block_solve(
 
     Each coherence block d is propagated as exp(A_d t) x_d(0) by the
     dense exponential of its bidiagonal generator, in either medium.  It
-    shares no cascade and no eigenbasis with :func:`amplitude_exact_states`,
-    which it cross-checks; it costs about 0.2 s per call at dim 100 in
-    the Kerr medium, so for many times use :func:`amplitude_exact_states`.
+    shares no cascade and no eigenbasis with :func:`evolved_states`, which
+    it cross-checks; it costs about 0.2 s per call at dim 100 in the Kerr
+    medium, so for many times use :func:`evolved_states`.
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
@@ -312,21 +306,6 @@ def coherence_block_solve(
         a, b = _block_generator(medium, phi, gamma, d)
         blocks.append(expm((np.diag(a) + np.diag(b, 1)) * t) @ np.diagonal(rho0.elements, -d))
     return DensityMatrix(rho0.dim, _from_blocks(np.concatenate(blocks), rho0.dim))
-
-
-def amplitude_exact_states(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
-) -> Iterator[DensityMatrix]:
-    """Exact amplitude-damped states at each requested time, in order.
-
-    ``times`` and ``gamma`` are validated on the call; the states are
-    then produced lazily, one per time, and none is kept once yielded.
-    Any time list, uniform or not, sorted or not, takes one path: each
-    coherence block is evaluated in closed form at 64 times at once by
-    :func:`_block_series`, so no round-off accumulates along the list.
-    """
-    times = _validate_times(times)
-    return _amplitude_states(rho0, medium, _validate_gamma(gamma), times)
 
 
 def coherence_diagonals(
@@ -345,6 +324,24 @@ def coherence_diagonals(
     """
     times = _validate_times(times)
     return _chunks(_diagonal_series(rho0, medium, damping), times)
+
+
+def evolved_states(
+    rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec, times: np.ndarray
+) -> Iterator[DensityMatrix]:
+    """The evolved state at each requested time, in order, for any channel.
+
+    Each state is assembled from its row of the :func:`coherence_diagonals`
+    of its chunk, so any time list, uniform or not, sorted or not, takes
+    one path and no round-off accumulates along it.  ``times`` is
+    validated on the call; the states are produced lazily, and only the
+    diagonals of the current chunk are held.
+    """
+    return (
+        DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
+        for _, diagonals in coherence_diagonals(rho0, medium, damping, times)
+        for row in np.concatenate(list(diagonals), axis=1)
+    )
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:
@@ -433,20 +430,6 @@ def _evaluated(
 ) -> Iterator[np.ndarray]:
     # a function of its own, so each chunk's generator keeps its own times
     return (block(times) for block in series)
-
-
-def _amplitude_states(
-    rho0: DensityMatrix, medium: MediumSpec, gamma: float, times: np.ndarray
-) -> Iterator[DensityMatrix]:
-    """Amplitude-damped states at ``times``, 64 at a time."""
-    if gamma == 0.0:
-        yield from (propagate_unitary(rho0, medium, t) for t in times)
-        return
-    series = _diagonal_series(rho0, medium, DampingSpec(DampingChannel.AMPLITUDE, gamma))
-    for _, diagonals in _chunks(series, times):
-        packed = np.concatenate(list(diagonals), axis=1)
-        for row in packed:
-            yield DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
 
 
 # --- dense reference integrator ---------------------------------------------

@@ -1,7 +1,6 @@
 """Configuration-driven experiment runner.
 
-Builds the initial state, sweeps the time grid in order with the
-propagator selected by the damping channel, computes one
+Builds the initial state, sweeps the time grid in order, computes one
 :class:`~nltomo.quantifiers.QuantifierRecord` per sample, enforces the
 row invariants (trace and the entropic uncertainty bound), and
 writes the CSV / tomogram-dump / minima-report products.
@@ -10,17 +9,19 @@ A damped sweep never forms a state: it takes the coherence diagonals of
 up to 64 times at once from :func:`~nltomo.evolve.coherence_diagonals`
 and computes their records together
 (:func:`~nltomo.quantifiers.records_of_diagonals`).  A unitary sweep
-computes one record per state.  The tomogram dumps, the convergence
-sweep and the oracle take whole states from one generator, which shares
-each propagator with the sweep.  Outputs are deterministic for a fixed
-configuration.
+computes one record per state of
+:func:`~nltomo.evolve.propagate_unitary`.  The tomogram dumps, the
+convergence sweep and the oracle take whole states from
+:func:`~nltomo.evolve.evolved_states`, which assembles them from the
+same diagonals for every channel.  Outputs are deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +29,9 @@ from .config import ExperimentConfig, Product, config_to_text
 from .errors import NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
-    amplitude_exact_states,
     coherence_diagonals,
+    evolved_states,
     integrate_master,
-    propagate_phase_damping,
     propagate_unitary,
 )
 from .quantifiers import (
@@ -70,25 +70,15 @@ class RunResult:
     config_path: Path | None
 
 
-def _states(
-    cfg: ExperimentConfig, rho0: DensityMatrix, times: Sequence[float]
-) -> Iterator[DensityMatrix]:
-    """The configured propagator's state at each time, in order."""
-    medium, damping = cfg.medium, cfg.damping
-    if damping.channel is DampingChannel.NONE:
-        return (propagate_unitary(rho0, medium, t) for t in times)
-    if damping.channel is DampingChannel.PHASE:
-        return (propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times)
-    return amplitude_exact_states(rho0, medium, damping.gamma, times)
-
-
 def _records(
     cfg: ExperimentConfig, rho0: DensityMatrix, times: np.ndarray, window: tuple[float, int]
 ) -> tuple[QuantifierRecord, ...]:
     if cfg.damping.channel is DampingChannel.NONE:
         return tuple(
-            compute_record(rho_t, t, cfg.t_rev, cfg.theta_count, window)
-            for rho_t, t in zip(_states(cfg, rho0, times), times)
+            compute_record(
+                propagate_unitary(rho0, cfg.medium, t), t, cfg.t_rev, cfg.theta_count, window
+            )
+            for t in times
         )
     records: list[QuantifierRecord] = []
     for chunk, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, times):
@@ -175,7 +165,8 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
     if Product.TOMOGRAM_DUMP in cfg.products:
         dump_grid = symmetric_grid(*window, uniform_thetas(cfg.theta_count))
         dump_times = [u * t_rev for u in cfg.tomograms_at]
-        for u, rho_t in zip(cfg.tomograms_at, _states(cfg, rho0, dump_times)):
+        states = evolved_states(rho0, cfg.medium, cfg.damping, dump_times)
+        for u, rho_t in zip(cfg.tomograms_at, states):
             tomo = tomogram_of_density(rho_t, dump_grid)
             path = cfg.out_dir / f"{cfg.name}_tomogram_t{('%.6g' % u).replace('.', 'p')}trev.dat"
             dump_paths.append(tomo.write_dump(path))
@@ -247,9 +238,8 @@ def convergence_sweep(
 
     area_rows, n_rows, trace_rows = [], [], []
     for dim in dims:
-        sub = replace(cfg, dim=dim, force=True)
-        rho0 = density_from_pure(sub.initial_state.build(dim))
-        states = list(_states(sub, rho0, probe_times))
+        rho0 = density_from_pure(cfg.initial_state.build(dim))
+        states = list(evolved_states(rho0, cfg.medium, cfg.damping, probe_times))
         area_rows.append(
             [nonclassical_area(s, theta_count=cfg.theta_count) for s in states]
         )
@@ -327,37 +317,37 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
     """Cross-check the configured propagator against the reference exp(t L).
 
     The dense superoperator integrator scales as O(dim^6), so the check
-    runs at dim = min(sim.dim, 15), on the states of the code path the
-    sweep takes at its full dim: an elementwise phase, the binomial
-    cascade or a cubic block's eigenbasis.  :func:`coherence_block_solve`
-    is the amplitude-damping reference that reaches the full dim.
+    runs at dim = min(sim.dim, 15), on the states that the dumps and the
+    damped sweeps read at their full dim (:func:`evolved_states`): an
+    elementwise phase, the binomial cascade or a cubic block's
+    eigenbasis.  :func:`coherence_block_solve` is the amplitude-damping
+    reference that reaches the full dim.
     """
     if samples < 2:
         raise ValidationError(f"oracle needs samples >= 2, got {samples}")
     dim = min(cfg.dim, _ORACLE_DIM_CAP)
-    sub = replace(cfg, dim=dim, force=True)
-    rho0 = density_from_pure(sub.initial_state.build(dim))
-    t_end = sub.t_end_over_trev * sub.t_rev
+    rho0 = density_from_pure(cfg.initial_state.build(dim))
+    t_end = cfg.t_end_over_trev * cfg.t_rev
     times = np.linspace(0.0, t_end, samples)
 
     solver_label = {
         DampingChannel.NONE: "unitary",
         DampingChannel.PHASE: "phase_damping",
         DampingChannel.AMPLITUDE: "amplitude_exact",
-    }[sub.damping.channel]
+    }[cfg.damping.channel]
 
     devs = []
     lines = [
         f"# oracle check: {cfg.name}",
         f"# dim={dim} solver={solver_label} tolerance={_ORACLE_TOL:g}",
     ]
-    for t, candidate in zip(times, _states(sub, rho0, times)):
-        reference = integrate_master(rho0, sub.medium, sub.damping, float(t))
+    for t, candidate in zip(times, evolved_states(rho0, cfg.medium, cfg.damping, times)):
+        reference = integrate_master(rho0, cfg.medium, cfg.damping, float(t))
         dev = float(np.max(np.abs(candidate.elements - reference.elements)))
         devs.append(dev)
         verdict = "PASS" if dev <= _ORACLE_TOL else "FAIL"
         lines.append(
-            f"t_over_trev={t / sub.t_rev:.6g} max_dev={dev:.3e} {verdict}"
+            f"t_over_trev={t / cfg.t_rev:.6g} max_dev={dev:.3e} {verdict}"
         )
     passed = all(d <= _ORACLE_TOL for d in devs)
     lines.append(f"# overall: {'PASS' if passed else 'FAIL'}")

@@ -22,8 +22,8 @@ route overflows near n ~ 90.
 
 :func:`tomogram_of_density` takes one density matrix.  A damped sweep
 never forms one: :func:`tomograms_of_diagonals` builds the slices of a
-batch of states diagonal by diagonal, and :func:`check_tomograms` applies
-the per-state checks to the batch.
+batch of states diagonal by diagonal.  Both pass their values through
+:func:`check_tomograms`, which applies the per-state checks to a batch.
 """
 
 from __future__ import annotations
@@ -179,19 +179,10 @@ def hermite_basis(dim: int, x: np.ndarray) -> np.ndarray:
     return psi
 
 
-_basis_cache: dict[tuple[int, float, float, int], np.ndarray] = {}
-
-
-def _cached_basis(dim: int, grid: QuadratureGrid) -> np.ndarray:
-    key = (dim, grid.x_min, grid.x_max, grid.n_x)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
-    psi = hermite_basis(dim, grid.x)
+@functools.lru_cache(maxsize=32)
+def _cached_basis(dim: int, x_min: float, x_max: float, n_x: int) -> np.ndarray:
+    psi = hermite_basis(dim, _linspace(x_min, x_max, n_x))
     psi.setflags(write=False)
-    if len(_basis_cache) > 32:
-        _basis_cache.clear()
-    _basis_cache[key] = psi
     return psi
 
 
@@ -215,10 +206,6 @@ class Tomogram:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def integral_per_theta(self) -> np.ndarray:
-        """Trapezoid integral of each slice over x; should be ~1."""
-        return np.trapezoid(self.values, self.grid.x, axis=1)
 
     def to_dump_text(self) -> str:
         x_txt = ["%.9g" % x for x in self.grid.x.tolist()]
@@ -244,48 +231,24 @@ def _negativity_error(low: float) -> NumericalInvariantError:
     return NumericalInvariantError(f"tomogram negativity {low:.3e} below -{_NEG_TOL:.0e}")
 
 
-def _normalization_error(dev: float) -> NumericalInvariantError:
-    return NumericalInvariantError(
-        f"tomogram slice normalization off by {dev:.3e}; "
-        "the x-window is too narrow for this state"
-    )
-
-
-def _warn_off_grid(dev: float, stacklevel: int) -> None:
-    warnings.warn(
-        f"tomogram slice mass off-grid ~ {dev:.3e}; consider widening the x-window",
-        RuntimeWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
-def _check_normalization(tomo: Tomogram) -> None:
-    dev = float(np.max(np.abs(tomo.integral_per_theta() - 1.0)))
-    if dev > _NORM_FAIL:
-        raise _normalization_error(dev)
-    if dev > _NORM_WARN:
-        _warn_off_grid(dev, stacklevel=3)
-
-
 def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
     """Tomogram of a density matrix on the given grid.
 
     One real matrix product per slice: omega(x) = sum_m (Psi Re R)(x, m)
     Psi(x, m) with R_nm = e^{-i n theta} rho_nm e^{i m theta}.  The
     imaginary part of R is antisymmetric and drops out of the real
-    quadratic form, so there is no imaginary residue to check; slice
-    normalization is checked against the window.
+    quadratic form, so there is no imaginary residue to check.  The
+    values pass :func:`check_tomograms`, slice normalization included.
     """
-    psi = _cached_basis(rho.dim, grid)
+    psi = _cached_basis(rho.dim, grid.x_min, grid.x_max, grid.n_x)
     n = np.arange(rho.dim)
     values = np.empty((grid.n_theta, grid.n_x))
     for i, theta in enumerate(grid.thetas):
         u = np.exp(-1j * theta * n)
         rotated = (u[:, None] * rho.elements * u.conj()[None, :]).real
         values[i] = np.einsum("xn,xn->x", psi @ rotated, psi)
-    tomo = Tomogram(grid, values)
-    _check_normalization(tomo)
-    return tomo
+    check_tomograms(values[:, None, :], grid.x)
+    return Tomogram(grid, values)
 
 
 def tomograms_of_diagonals(
@@ -309,7 +272,7 @@ def tomograms_of_diagonals(
     for d, x_d in enumerate(diagonals):
         if out is None:
             T, dim = x_d.shape
-            psi = _cached_basis(dim, grid)
+            psi = _cached_basis(dim, grid.x_min, grid.x_max, grid.n_x)
             out = np.zeros((grid.n_theta * T, grid.n_x))
         weight = 1.0 if d == 0 else 2.0
         rotated = np.concatenate(
@@ -323,7 +286,7 @@ def tomograms_of_diagonals(
 
 
 def check_tomograms(values: np.ndarray, x: np.ndarray) -> None:
-    """The checks of :func:`tomogram_of_density` on a batch, state by state.
+    """The checks of every computed tomogram, on a batch, state by state.
 
     ``values`` has shape (n_theta, T, n_x).  For each state in turn: no
     non-finite value, no value below -1e-12, and every slice's trapezoid
@@ -331,17 +294,26 @@ def check_tomograms(values: np.ndarray, x: np.ndarray) -> None:
     1e-8.  The first state that fails raises, after the warnings of the
     states before it.
     """
-    finite = np.isfinite(values).all(axis=(0, 2))
     low = values.min(axis=(0, 2))
     dev = np.abs(np.trapezoid(values, x, axis=-1) - 1.0).max(axis=0)
+    if low.min(initial=np.inf) >= -_NEG_TOL and dev.max(initial=0.0) <= _NORM_WARN:
+        return  # nan compares false, so a non-finite value is caught below
+    finite = np.isfinite(values).all(axis=(0, 2))
     bad = ~finite | (low < -_NEG_TOL) | (dev > _NORM_FAIL)
     stop = int(np.argmax(bad)) if bad.any() else bad.size
     for k in np.flatnonzero(dev[:stop] > _NORM_WARN):
-        _warn_off_grid(float(dev[k]), stacklevel=2)
+        warnings.warn(
+            f"tomogram slice mass off-grid ~ {dev[k]:.3e}; consider widening the x-window",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if stop == bad.size:
         return
     if not finite[stop]:
         raise ValidationError(_NON_FINITE)
     if low[stop] < -_NEG_TOL:
         raise _negativity_error(float(low[stop]))
-    raise _normalization_error(float(dev[stop]))
+    raise NumericalInvariantError(
+        f"tomogram slice normalization off by {dev[stop]:.3e}; "
+        "the x-window is too narrow for this state"
+    )

@@ -13,9 +13,9 @@ from nltomo.evolve import (
     TimeGrid,
     _from_blocks,
     _lower_by_diagonal,
-    amplitude_exact_states,
     coherence_block_solve,
     coherence_diagonals,
+    evolved_states,
     expm,
     integrate_master,
     propagate_phase_damping,
@@ -203,7 +203,7 @@ def test_exact_solver_small_time_expansion():
     damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)
     t = 1e-12
     first_order = rho0.elements + t * lindblad_rhs(rho0, KERR, damping)
-    exact_0, exact_t = amplitude_exact_states(rho0, KERR, 0.1, np.array([0.0, t]))
+    exact_0, exact_t = evolved_states(rho0, KERR, damping, np.array([0.0, t]))
     for rho_t in (coherence_block_solve(rho0, KERR, 0.1, t), exact_t):
         assert np.max(np.abs(rho_t.elements - first_order)) < 1e-13
     # the states are assembled from the lower triangle, with real
@@ -269,7 +269,7 @@ def test_unitary_recurrence_from_any_start():
 def test_amplitude_exact_states_stepping_matches_per_time():
     rho0 = coherent_rho(dim=12)
     times = np.linspace(0.0, 0.2, 6)
-    stepped = amplitude_exact_states(rho0, CUBIC, 0.1, times)
+    stepped = evolved_states(rho0, CUBIC, DampingSpec(DampingChannel.AMPLITUDE, 0.1), times)
     for t, rho_step in zip(times, stepped):
         direct = coherence_block_solve(rho0, CUBIC, 0.1, float(t))
         assert np.max(np.abs(rho_step.elements - direct.elements)) < 1e-10
@@ -293,7 +293,7 @@ def test_amplitude_exact_states_stepping_matches_per_time_at_production_size(med
     # both media, out to gamma*t = 10 over 200 steps, and on an unsorted,
     # non-uniform time list
     rho0 = padded_rho(dim=60, alpha_sq=5.0, p=3)
-    states = amplitude_exact_states(rho0, medium, 0.1, times)
+    states = evolved_states(rho0, medium, DampingSpec(DampingChannel.AMPLITUDE, 0.1), times)
     assert iter(states) is states  # produced lazily, not held as a list
     checked = 0
     for t, rho_step in zip(times, states):
@@ -311,7 +311,8 @@ def test_amplitude_exact_states_ill_conditioned_cubic_blocks():
     medium = MediumSpec(MediumKind.CUBIC, 0.001)
     rho0 = padded_rho(dim=70, alpha_sq=20.0, p=3)
     times = (0.01, 0.1, 0.5, 2.0)
-    for t, rho_t in zip(times, amplitude_exact_states(rho0, medium, 1.0, np.array(times))):
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 1.0)
+    for t, rho_t in zip(times, evolved_states(rho0, medium, damping, np.array(times))):
         direct = coherence_block_solve(rho0, medium, 1.0, t)
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
 
@@ -321,9 +322,8 @@ def test_amplitude_exact_states_stepping_keeps_trace():
     # Kerr cascade at dim 100
     rho0 = padded_rho(dim=100, alpha_sq=40.0, p=3)
     times = np.linspace(0.0, 0.55 * revival_time(KERR), 700)
-    drift = max(
-        abs(rho_t.trace() - 1.0) for rho_t in amplitude_exact_states(rho0, KERR, 0.05, times)
-    )
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 0.05)
+    drift = max(abs(rho_t.trace() - 1.0) for rho_t in evolved_states(rho0, KERR, damping, times))
     assert drift < 1e-13
 
 
@@ -332,17 +332,19 @@ def test_amplitude_exact_states_matches_reference_at_fig8_size():
     # at three times of the fig8 grid up to its end at 0.55 T_rev
     rho0 = padded_rho(dim=100, alpha_sq=40.0, p=3)
     times = np.linspace(0.0, 0.55 * revival_time(KERR), 700)[[233, 466, 699]]
-    for t, rho_t in zip(times, amplitude_exact_states(rho0, KERR, 0.05, times)):
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 0.05)
+    for t, rho_t in zip(times, evolved_states(rho0, KERR, damping, times)):
         direct = coherence_block_solve(rho0, KERR, 0.05, float(t))
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
 
 
 def test_amplitude_exact_states_validation():
     rho0 = coherent_rho(dim=8)
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)
     with pytest.raises(ValidationError):
-        amplitude_exact_states(rho0, KERR, 0.1, np.array([-1.0, 0.0]))
+        evolved_states(rho0, KERR, damping, np.array([-1.0, 0.0]))
     with pytest.raises(ValidationError):
-        amplitude_exact_states(rho0, KERR, 0.1, np.array([]))
+        evolved_states(rho0, KERR, damping, np.array([]))
 
 
 # --- matrix exponential -----------------------------------------------------
@@ -429,10 +431,13 @@ def test_propagator_time_validation():
 def test_coherence_diagonals_are_those_of_the_states(medium, damping):
     rho0 = padded_rho(dim=12)
     times = np.linspace(0.0, 0.4, 70)
-    if damping.channel is DampingChannel.AMPLITUDE:
-        states = list(amplitude_exact_states(rho0, medium, damping.gamma, times))
-    else:
+    amplitude = damping.channel is DampingChannel.AMPLITUDE
+    if amplitude:
+        states = [coherence_block_solve(rho0, medium, damping.gamma, t) for t in times]
+    elif damping.channel is DampingChannel.PHASE:
         states = [propagate_phase_damping(rho0, medium, damping.gamma, t) for t in times]
+    else:
+        states = [propagate_unitary(rho0, medium, t) for t in times]
     chunks = list(coherence_diagonals(rho0, medium, damping, times))
     assert [chunk.size for chunk, _ in chunks] == [64, 6]
     start = 0
@@ -440,13 +445,29 @@ def test_coherence_diagonals_are_those_of_the_states(medium, damping):
         assert np.array_equal(chunk, times[start : start + chunk.size])
         for d, x_d in enumerate(diagonals):
             want = np.array([np.diagonal(s.elements, -d) for s in states[start : start + chunk.size]])
-            if d == 0 and damping.channel is DampingChannel.AMPLITUDE:
-                x_d = x_d.real  # the states keep the real part of the populations
-            # bit for bit: the same elementwise factor or the same block series
-            assert np.array_equal(x_d, want)
+            if amplitude:
+                # the block series against the dense per-block exponential
+                assert np.max(np.abs(x_d - want)) < 1e-13
+            else:
+                # bit for bit: the same elementwise factor
+                assert np.array_equal(x_d, want)
         start += chunk.size
     with pytest.raises(ValidationError):
         coherence_diagonals(rho0, medium, damping, [])
+
+    # the whole states assembled from those diagonals
+    evolved = list(evolved_states(rho0, medium, damping, times))
+    assert len(evolved) == times.size
+    for rho_t, want in zip(evolved, states):
+        if amplitude:
+            assert np.max(np.abs(rho_t.elements - want.elements)) < 1e-13
+            continue
+        # the lower triangle bit for bit, the populations by their real
+        # part; the upper triangle is assembled as the conjugate of the
+        # lower one, so it differs from the reference by round-off only
+        assert np.array_equal(np.tril(rho_t.elements, -1), np.tril(want.elements, -1))
+        assert np.array_equal(np.diagonal(rho_t.elements), np.diagonal(want.elements).real)
+        assert np.max(np.abs(rho_t.elements - want.elements)) <= 1e-15
 
 
 def test_from_blocks_index_order_is_cached_and_unchanged():

@@ -23,17 +23,26 @@ from nltomo.config import (
     parse_config_text,
 )
 from nltomo.errors import ValidationError
-from nltomo.evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec
+from nltomo.evolve import (
+    DampingChannel,
+    DampingSpec,
+    MediumKind,
+    MediumSpec,
+    coherence_block_solve,
+    evolved_states,
+    propagate_phase_damping,
+    propagate_unitary,
+)
 from nltomo.presets import preset_configs, preset_description, preset_names
 from nltomo.quantifiers import QuantifierRecord, compute_record
 from nltomo.runner import (
     _resolve_window,
-    _states,
     convergence_sweep,
     oracle_report,
     run_experiment,
 )
 from nltomo.states import InitialStateSpec, StateKind, density_from_pure
+from nltomo.tomography import symmetric_grid, tomogram_of_density, uniform_thetas
 
 from conftest import parse_dump
 
@@ -364,7 +373,7 @@ def per_state_records(cfg):
     times = cfg.time_grid.values
     return [
         compute_record(rho, t, cfg.t_rev, cfg.theta_count, window)
-        for rho, t in zip(_states(cfg, rho0, times), times)
+        for rho, t in zip(evolved_states(rho0, cfg.medium, cfg.damping, times), times)
     ]
 
 
@@ -410,6 +419,49 @@ def test_damped_sweep_records_match_per_state_records_at_fig8_size(tmp_path):
     cfg = replace(preset_configs("fig8", tmp_path)[0], steps=60)
     assert cfg.dim == 100 and cfg.damping.channel is DampingChannel.AMPLITUDE
     assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
+
+
+REFERENCE_STATE = {
+    DampingChannel.NONE: lambda rho0, medium, gamma, t: propagate_unitary(rho0, medium, t),
+    DampingChannel.PHASE: propagate_phase_damping,
+    DampingChannel.AMPLITUDE: coherence_block_solve,
+}
+
+
+@pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
+@pytest.mark.parametrize(
+    "damping",
+    [
+        DampingSpec(DampingChannel.NONE, 0.0),
+        DampingSpec(DampingChannel.PHASE, 0.05),
+        DampingSpec(DampingChannel.AMPLITUDE, 0.1),
+    ],
+    ids=["none", "phase", "amplitude"],
+)
+def test_dumps_match_tomograms_of_the_per_time_reference_states(tmp_path, kind, damping):
+    cfg = ExperimentConfig(
+        initial_state=FAMILIES["photon_added"],
+        medium=MediumSpec(kind, 5.0),
+        damping=damping,
+        dim=26,
+        theta_count=8,
+        products=frozenset({Product.TOMOGRAM_DUMP}),
+        tomograms_at=(0.0, 0.13, 0.6),
+        out_dir=tmp_path,
+        name="dumps",
+    )
+    result = run_experiment(cfg)
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    grid = symmetric_grid(*_resolve_window(cfg, rho0), uniform_thetas(cfg.theta_count))
+    assert len(result.dump_paths) == len(cfg.tomograms_at)
+    for u, path in zip(cfg.tomograms_at, result.dump_paths):
+        rho_t = REFERENCE_STATE[damping.channel](rho0, cfg.medium, damping.gamma, u * cfg.t_rev)
+        want = tomogram_of_density(rho_t, grid)
+        thetas, x, values = parse_dump(path.read_text())
+        # theta and x are printed with %.9g
+        assert np.allclose(thetas, grid.thetas, rtol=1e-8, atol=0)
+        assert np.allclose(x, grid.x, rtol=1e-8, atol=0)
+        assert np.max(np.abs(values - want.values)) <= 1e-12
 
 
 TIGHT_WINDOW_TEXT = """\
@@ -619,10 +671,10 @@ def test_cli_oracle_exit_codes(tmp_path, capsys, monkeypatch):
         assert "samples >= 2" in capsys.readouterr().err
 
     # a propagator that leaves the state as it was fails the comparison
-    def frozen(rho0, medium, gamma, times):
+    def frozen(rho0, medium, damping, times):
         return (rho0 for _ in times)
 
-    monkeypatch.setattr(nltomo.runner, "amplitude_exact_states", frozen)
+    monkeypatch.setattr(nltomo.runner, "evolved_states", frozen)
     assert main(["oracle", str(exact), "--samples", "4"]) == EXIT_INVARIANT
     assert "# overall: FAIL" in capsys.readouterr().out
 
