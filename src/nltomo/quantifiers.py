@@ -16,11 +16,12 @@ in the truncated basis, used for sweeps) and a tomographic route that
 integrates the quadrature histograms (used to cross-check the tomogram
 pipeline itself).  The entropy sum has only the tomographic route.
 
-:func:`compute_record` gives one CSV row for one density matrix; a
-unitary sweep calls it per state.  A damped sweep calls
-:func:`records_of_diagonals` instead, which computes the rows of a batch
-of times from the coherence diagonals, all times at once, with the same
-checks state by state.
+:func:`compute_record` gives one CSV row for one density matrix, the
+per-state reference.  A sweep calls :func:`records_of_diagonals`
+instead, which computes the rows of a batch of times from the coherence
+diagonals, all times at once, with the same checks state by state and
+the same moment sums (``states._ladder_moments``), so the two give the
+same area to the last bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInvariantError, ValidationError
-from .states import DensityMatrix, first_refused_density, ladder_expectations
+from .states import DensityMatrix, _ladder_moments, first_refused_density, ladder_expectations
 from .tomography import (
     QuadratureGrid,
     Tomogram,
@@ -79,8 +80,7 @@ def quadrature_mean_variance(
         <X_theta^2> = <N> + 1/2 + Re(e^{-2i theta} <a^2>)
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    mom = ladder_expectations(rho)
-    mean, var = _moment_mean_variance(mom.a, mom.a_squared, mom.n, thetas)
+    mean, var = _moment_mean_variance(*ladder_expectations(rho), thetas)
     bad = float(var.min())
     if bad <= 0.0:
         raise _variance_error(bad)
@@ -340,7 +340,7 @@ def records_of_diagonals(
     T = times.size
     finite = np.ones(T, dtype=bool)
     purity = np.zeros(T)
-    low: list[np.ndarray] = []
+    low = [np.zeros((T, 0), dtype=np.complex128)] * 3  # x_0, x_1, x_2; empty where d >= dim
 
     def tally(diagonals: Iterable[np.ndarray]):
         nonlocal finite, purity
@@ -348,19 +348,14 @@ def records_of_diagonals(
             finite = finite & np.isfinite(x_d).all(axis=1)
             purity = purity + (1.0 if d == 0 else 2.0) * np.sum(np.abs(x_d) ** 2, axis=1)
             if d < 3:
-                low.append(x_d)
+                low[d] = x_d
             yield x_d
 
     x_max, n_x = x_window
     grid = symmetric_grid(x_max, int(n_x), conjugate_thetas(0.0))
     values = tomograms_of_diagonals(tally(diagonals), grid)
-    populations = low[0].real
-    n = np.arange(populations.shape[1], dtype=np.float64)
-    trace = populations.sum(axis=1)
-    zero = np.zeros(T, dtype=np.complex128)
-    a = low[1] @ np.sqrt(n[1:]) if len(low) > 1 else zero
-    a_squared = low[2] @ np.sqrt(n[1:-1] * n[2:]) if len(low) > 2 else zero
-    _, var = _moment_mean_variance(a, a_squared, populations @ n, np.asarray(uniform_thetas(theta_count)))
+    trace = low[0].real.sum(axis=1)
+    _, var = _moment_mean_variance(*_ladder_moments(*low), np.asarray(uniform_thetas(theta_count)))
 
     k_state, refusal = first_refused_density(finite, trace)
     var_low = var[:k_state].min(axis=1)

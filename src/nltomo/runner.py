@@ -5,16 +5,13 @@ Builds the initial state, sweeps the time grid in order, computes one
 row invariants (trace and the entropic uncertainty bound), and
 writes the CSV / tomogram-dump / minima-report products.
 
-A damped sweep never forms a state: it takes the coherence diagonals of
-up to 64 times at once from :func:`~nltomo.evolve.coherence_diagonals`
-and computes their records together
-(:func:`~nltomo.quantifiers.records_of_diagonals`).  A unitary sweep
-computes one record per state of
-:func:`~nltomo.evolve.propagate_unitary`.  The tomogram dumps, the
-convergence sweep and the oracle take whole states from
-:func:`~nltomo.evolve.evolved_states`, which assembles them from the
-same diagonals for every channel.  Outputs are deterministic for a
-fixed configuration.
+A sweep never forms a state, whatever the channel: it takes the
+coherence diagonals of up to 64 times at once from
+:func:`~nltomo.evolve.coherence_diagonals` and computes their records
+together (:func:`~nltomo.quantifiers.records_of_diagonals`).  The
+tomogram dumps, the convergence sweep and the oracle take whole states
+from :func:`~nltomo.evolve.evolved_states`, which assembles them from the
+same diagonals.  Outputs are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -32,12 +29,11 @@ from .evolve import (
     coherence_diagonals,
     evolved_states,
     integrate_master,
-    propagate_unitary,
+    propagate_unitary,  # unused: perfbench/selftest.py traces runner.propagate_unitary
 )
 from .quantifiers import (
     ENTROPY_BOUND,
     QuantifierRecord,
-    compute_record,
     find_local_minima,
     nonclassical_area,
     records_of_diagonals,
@@ -73,13 +69,6 @@ class RunResult:
 def _records(
     cfg: ExperimentConfig, rho0: DensityMatrix, times: np.ndarray, window: tuple[float, int]
 ) -> tuple[QuantifierRecord, ...]:
-    if cfg.damping.channel is DampingChannel.NONE:
-        return tuple(
-            compute_record(
-                propagate_unitary(rho0, cfg.medium, t), t, cfg.t_rev, cfg.theta_count, window
-            )
-            for t in times
-        )
     records: list[QuantifierRecord] = []
     for chunk, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, times):
         records += records_of_diagonals(chunk, diagonals, cfg.t_rev, cfg.theta_count, window)

@@ -352,22 +352,23 @@ def ladder_expectations(rho: DensityMatrix) -> LadderExpectations:
     <a^2> = sum_n sqrt((n+1)(n+2)) rho_{n+2, n}
     <N>   = sum_n n rho_{n, n}
     """
-    mat = rho.elements
-    dim = rho.dim
-    n = np.arange(dim)
-    exp_n = float(np.real(np.sum(n * np.diagonal(mat))))
-    if dim >= 2:
-        sub1 = np.diagonal(mat, offset=-1)  # rho_{n+1, n}
-        exp_a = complex(np.sum(np.sqrt(n[: dim - 1] + 1.0) * sub1))
-    else:
-        exp_a = 0.0 + 0.0j
-    if dim >= 3:
-        sub2 = np.diagonal(mat, offset=-2)  # rho_{n+2, n}
-        nn = n[: dim - 2]
-        exp_a2 = complex(np.sum(np.sqrt((nn + 1.0) * (nn + 2.0)) * sub2))
-    else:
-        exp_a2 = 0.0 + 0.0j
-    return LadderExpectations(a=exp_a, a_squared=exp_a2, n=exp_n)
+    a, a_squared, n = _ladder_moments(*(np.diagonal(rho.elements, -d) for d in range(3)))
+    return LadderExpectations(a=complex(a), a_squared=complex(a_squared), n=float(n))
+
+
+def _ladder_moments(
+    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(<a>, <a^2>, <N>) of :func:`ladder_expectations`, summed over the last
+    axis of the diagonals x_d = rho_{n+d, n}, d = 0, 1, 2, so one value per
+    state of a batch.  Empty diagonals (dim < 3) sum to 0.  Sweeps and
+    single states share these sums, so their moments agree bit for bit."""
+    n = np.arange(x0.shape[-1], dtype=np.float64)
+    return (
+        np.sum(np.sqrt(n[1:]) * x1, axis=-1),
+        np.sum(np.sqrt(n[1:-1] * n[2:]) * x2, axis=-1),
+        np.real(np.sum(n * x0, axis=-1)),
+    )
 
 
 def tail_mass(obj: FockVector | DensityMatrix, start: int) -> float:

@@ -20,9 +20,10 @@ Hermite functions are generated by the normalized three-term
 recurrence, which stays bounded where the textbook H_n / sqrt(2^n n!)
 route overflows near n ~ 90.
 
-:func:`tomogram_of_density` takes one density matrix.  A damped sweep
-never forms one: :func:`tomograms_of_diagonals` builds the slices of a
-batch of states diagonal by diagonal.  Both pass their values through
+:func:`tomogram_of_density` takes one density matrix; the tomogram
+dumps and the per-state references use it.  A sweep never forms one:
+:func:`tomograms_of_diagonals` builds the slices of a batch of states
+diagonal by diagonal.  Both pass their values through
 :func:`check_tomograms`, which applies the per-state checks to a batch.
 """
 
@@ -296,8 +297,6 @@ def check_tomograms(values: np.ndarray, x: np.ndarray) -> None:
     """
     low = values.min(axis=(0, 2))
     dev = np.abs(np.trapezoid(values, x, axis=-1) - 1.0).max(axis=0)
-    if low.min(initial=np.inf) >= -_NEG_TOL and dev.max(initial=0.0) <= _NORM_WARN:
-        return  # nan compares false, so a non-finite value is caught below
     finite = np.isfinite(values).all(axis=(0, 2))
     bad = ~finite | (low < -_NEG_TOL) | (dev > _NORM_FAIL)
     stop = int(np.argmax(bad)) if bad.any() else bad.size

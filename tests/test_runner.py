@@ -363,7 +363,7 @@ def test_truncation_check(tmp_path):
     assert len(result.records) == 2
 
 
-# --- damped sweeps: batched records -------------------------------------------
+# --- sweeps: batched records -------------------------------------------------
 
 
 def per_state_records(cfg):
@@ -378,8 +378,11 @@ def per_state_records(cfg):
 
 
 def assert_records_match(got, want, tol=1e-12):
+    """Every field within tol, and the area to the last bit: both paths sum
+    the same moments in the same order."""
     assert len(got) == len(want)
     for rec, ref in zip(got, want):
+        assert rec.nonclassical_area == ref.nonclassical_area, (rec.t, rec, ref)
         for name, value, expected in zip(QuantifierRecord.FIELDS, rec.as_row(), ref.as_row()):
             assert abs(value - expected) <= tol, (name, rec.t, value, expected)
 
@@ -391,14 +394,20 @@ FAMILIES = {
     "even": InitialStateSpec(StateKind.EVEN_COHERENT, ALPHA),
 }
 
+EVERY_CHANNEL = pytest.mark.parametrize(
+    "damping",
+    [
+        DampingSpec(DampingChannel.NONE, 0.0),
+        DampingSpec(DampingChannel.PHASE, 0.05),
+        DampingSpec(DampingChannel.AMPLITUDE, 0.1),
+    ],
+    ids=["none", "phase", "amplitude"],
+)
+
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
-@pytest.mark.parametrize(
-    "damping",
-    [DampingSpec(DampingChannel.AMPLITUDE, 0.1), DampingSpec(DampingChannel.PHASE, 0.05)],
-    ids=["amplitude", "phase"],
-)
+@EVERY_CHANNEL
 def test_damped_sweep_records_match_per_state_records(tmp_path, family, kind, damping):
     # 70 times: two batches of diagonals, the second one partial
     cfg = ExperimentConfig(
@@ -421,6 +430,24 @@ def test_damped_sweep_records_match_per_state_records_at_fig8_size(tmp_path):
     assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
 
 
+@pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
+@EVERY_CHANNEL
+def test_sweep_records_at_dim_two_match_per_state_records(tmp_path, kind, damping):
+    # no d = 2 diagonal: <a^2> is the sum of an empty one
+    cfg = ExperimentConfig(
+        initial_state=FAMILIES["coherent"],
+        medium=MediumSpec(kind, 5.0),
+        damping=damping,
+        dim=2,
+        steps=5,
+        t_end_over_trev=0.6,
+        force=True,
+        out_dir=tmp_path,
+        name="dim2",
+    )
+    assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
+
+
 REFERENCE_STATE = {
     DampingChannel.NONE: lambda rho0, medium, gamma, t: propagate_unitary(rho0, medium, t),
     DampingChannel.PHASE: propagate_phase_damping,
@@ -429,15 +456,7 @@ REFERENCE_STATE = {
 
 
 @pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
-@pytest.mark.parametrize(
-    "damping",
-    [
-        DampingSpec(DampingChannel.NONE, 0.0),
-        DampingSpec(DampingChannel.PHASE, 0.05),
-        DampingSpec(DampingChannel.AMPLITUDE, 0.1),
-    ],
-    ids=["none", "phase", "amplitude"],
-)
+@EVERY_CHANNEL
 def test_dumps_match_tomograms_of_the_per_time_reference_states(tmp_path, kind, damping):
     cfg = ExperimentConfig(
         initial_state=FAMILIES["photon_added"],

@@ -104,6 +104,17 @@ def test_coherent_ladder_expectations():
     assert abs(mom.n - 10.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "amps, expected",
+    [([1.0], (0, 0, 0)), ([0.0, 1.0], (0, 0, 1)), ([0.6, 0.8], (0.48, 0, 0.64))],
+    ids=["vacuum-dim1", "fock1-dim2", "superposition-dim2"],
+)
+def test_ladder_expectations_below_dim_three(amps, expected):
+    # the diagonals d >= dim are empty and sum to 0
+    mom = ladder_expectations(density_from_pure(FockVector(len(amps), np.array(amps))))
+    assert np.allclose(mom, expected, rtol=0.0, atol=1e-15)
+
+
 def test_vacuum_limits():
     vac = coherent_coefficients(0.0, 10)
     assert vac.amplitudes[0] == 1.0
