@@ -24,9 +24,9 @@ Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
 Every channel evolves by one path: :func:`coherence_diagonals` yields
-the diagonals x_d(t) for a batch of times at a time, which damped sweeps
-read directly, and :func:`evolved_states` assembles them into whole
-states for the tomogram dumps and the reports.
+the diagonals x_d(t) for a batch of times at a time, which sweeps and
+tomogram dumps read directly, and :func:`evolved_states` assembles them
+into whole states for the reports.
 
 The per-time ``propagate_*`` functions and two dense references check
 that path: the exponential of each block at one time
@@ -357,6 +357,19 @@ _CHUNK = 64  # times per batch; at dim 100: 5.2 MB of blocks, and 5.4 MB of C or
 _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
 
 
+def _eigenbasis(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V^{-1}) for diagonal a and superdiagonal b: for k <= i, V[k, i] =
+    prod_{m=k}^{i-1} -b_m / (a_m - a_i), the unit-diagonal eigenvectors, and V^{-1}[k, i] =
+    prod_{m=k}^{i-1} b_m / (a_k - a_{m+1}), the left ones.  Overflow leaves inf or nan."""
+    gap = a[:, None] - a
+    np.fill_diagonal(gap, 1.0)
+    upper = np.triu(np.ones(gap.shape, dtype=bool), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.cumprod(np.where(upper, -np.append(b, 0.0)[:, None] / gap, 1.0)[::-1], axis=0)
+        V_inv = np.cumprod(np.where(upper, np.append(0.0, b) / gap, 1.0), axis=1)
+    return np.triu(V[::-1]), np.triu(V_inv)
+
+
 def _block_series(
     medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -389,11 +402,7 @@ def _block_series(
             return np.exp(np.multiply.outer(times, a)) * (np.vander(w, J, increasing=True) @ C)
 
         return cascade
-    # unit-diagonal eigenvectors: column i solves (A_d - a_i) v = 0
-    V = np.eye(J, dtype=np.complex128)
-    for k in range(J - 2, -1, -1):
-        V[k, k + 1 :] = -b[k] * V[k + 1, k + 1 :] / (a[k] - a[k + 1 :])
-    V_inv = np.linalg.inv(V)
+    V, V_inv = _eigenbasis(a, b)
     if np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1) <= _EIGEN_COND_MAX:
         c = V_inv @ x0
         return lambda times: (np.exp(np.multiply.outer(times, a)) * c) @ V.T

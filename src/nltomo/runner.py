@@ -5,13 +5,13 @@ Builds the initial state, sweeps the time grid in order, computes one
 row invariants (trace and the entropic uncertainty bound), and
 writes the CSV / tomogram-dump / minima-report products.
 
-A sweep never forms a state, whatever the channel: it takes the
-coherence diagonals of up to 64 times at once from
-:func:`~nltomo.evolve.coherence_diagonals` and computes their records
-together (:func:`~nltomo.quantifiers.records_of_diagonals`).  The
-tomogram dumps, the convergence sweep and the oracle take whole states
-from :func:`~nltomo.evolve.evolved_states`, which assembles them from the
-same diagonals.  Outputs are deterministic for a fixed configuration.
+Sweeps and tomogram dumps never form a state, whatever the channel: they
+take the coherence diagonals of up to 64 times at once from
+:func:`~nltomo.evolve.coherence_diagonals`, and a sweep computes their
+records together (:func:`~nltomo.quantifiers.records_of_diagonals`) while
+a dump passes them through the same tomogram kernel on its 128-phase grid.
+The convergence sweep and the oracle take whole states from
+:func:`~nltomo.evolve.evolved_states`.  Outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -38,8 +38,13 @@ from .quantifiers import (
     nonclassical_area,
     records_of_diagonals,
 )
-from .states import DensityMatrix, density_from_pure, ladder_expectations, tail_mass
-from .tomography import suggested_grid, symmetric_grid, tomogram_of_density, uniform_thetas
+from .states import (
+    DensityMatrix, density_from_pure, first_refused_density, ladder_expectations, tail_mass
+)
+from .tomography import (
+    Tomogram, check_tomograms, suggested_grid, symmetric_grid, tomograms_of_diagonals,
+    uniform_thetas,
+)
 
 __all__ = [
     "RunResult",
@@ -154,11 +159,18 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
     if Product.TOMOGRAM_DUMP in cfg.products:
         dump_grid = symmetric_grid(*window, uniform_thetas(cfg.theta_count))
         dump_times = [u * t_rev for u in cfg.tomograms_at]
-        states = evolved_states(rho0, cfg.medium, cfg.damping, dump_times)
-        for u, rho_t in zip(cfg.tomograms_at, states):
-            tomo = tomogram_of_density(rho_t, dump_grid)
-            path = cfg.out_dir / f"{cfg.name}_tomogram_t{('%.6g' % u).replace('.', 'p')}trev.dat"
-            dump_paths.append(tomo.write_dump(path))
+        for _, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, dump_times):
+            diagonals = list(diagonals)
+            finite = np.logical_and.reduce([np.isfinite(x).all(axis=1) for x in diagonals])
+            k_state, refusal = first_refused_density(finite, diagonals[0].real.sum(axis=1))
+            values = tomograms_of_diagonals(diagonals, dump_grid)
+            for k in range(k_state):
+                check_tomograms(values[:, k : k + 1], dump_grid.x)
+                label = ("%.6g" % cfg.tomograms_at[len(dump_paths)]).replace(".", "p")
+                path = cfg.out_dir / f"{cfg.name}_tomogram_t{label}trev.dat"
+                dump_paths.append(Tomogram(dump_grid, values[:, k]).write_dump(path))
+            if refusal is not None:
+                raise refusal
 
     minima_path = None
     if Product.MINIMA_REPORT in cfg.products:
@@ -306,8 +318,8 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
     """Cross-check the configured propagator against the reference exp(t L).
 
     The dense superoperator integrator scales as O(dim^6), so the check
-    runs at dim = min(sim.dim, 15), on the states that the dumps and the
-    damped sweeps read at their full dim (:func:`evolved_states`): an
+    runs at dim = min(sim.dim, 15), on :func:`evolved_states`, assembled
+    from the diagonals that sweeps and dumps read at their full dim: an
     elementwise phase, the binomial cascade or a cubic block's
     eigenbasis.  :func:`coherence_block_solve` is the amplitude-damping
     reference that reaches the full dim.

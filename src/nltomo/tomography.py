@@ -20,11 +20,10 @@ Hermite functions are generated by the normalized three-term
 recurrence, which stays bounded where the textbook H_n / sqrt(2^n n!)
 route overflows near n ~ 90.
 
-:func:`tomogram_of_density` takes one density matrix; the tomogram
-dumps and the per-state references use it.  A sweep never forms one:
-:func:`tomograms_of_diagonals` builds the slices of a batch of states
-diagonal by diagonal.  Both pass their values through
-:func:`check_tomograms`, which applies the per-state checks to a batch.
+Every tomogram, of a sweep, a dump or one density matrix
+(:func:`tomogram_of_density`), is built diagonal by diagonal for a batch
+of states by :func:`tomograms_of_diagonals`, and :func:`check_tomograms`
+applies the per-state checks to the batch.
 """
 
 from __future__ import annotations
@@ -187,6 +186,12 @@ def _cached_basis(dim: int, x_min: float, x_max: float, n_x: int) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=8)
+def _dump_slice_template(x_min: float, x_max: float, n_x: int) -> str:
+    """One slice of dump text: "@" stands for theta, "%.12g" for each value."""
+    return "\n".join("@ %.9g %%.12g" % x for x in _linspace(x_min, x_max, n_x).tolist())
+
+
 @dataclass(frozen=True)
 class Tomogram:
     """Tomogram values on a grid; values[i, j] = omega(x_j, theta_i)."""
@@ -209,17 +214,12 @@ class Tomogram:
         object.__setattr__(self, "values", vals)
 
     def to_dump_text(self) -> str:
-        x_txt = ["%.9g" % x for x in self.grid.x.tolist()]
+        template = _dump_slice_template(self.grid.x_min, self.grid.x_max, self.grid.n_x)
         # joined slice by slice: one flat list of every line holds ~2 MB of
         # small strings per dump, which are freed and page-faulted back each time
         blocks = ["# theta x omega"]
         for theta, row in zip(self.grid.thetas, self.values):
-            theta_txt = "%.9g" % theta
-            blocks.append(
-                "\n".join(
-                    f"{theta_txt} {xt} {'%.12g' % v}" for xt, v in zip(x_txt, row.tolist())
-                )
-            )
+            blocks.append(template.replace("@", "%.9g" % theta) % tuple(row.tolist()))
         return "\n".join(blocks) + "\n"
 
     def write_dump(self, path: str | Path) -> Path:
@@ -233,23 +233,11 @@ def _negativity_error(low: float) -> NumericalInvariantError:
 
 
 def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
-    """Tomogram of a density matrix on the given grid.
-
-    One real matrix product per slice: omega(x) = sum_m (Psi Re R)(x, m)
-    Psi(x, m) with R_nm = e^{-i n theta} rho_nm e^{i m theta}.  The
-    imaginary part of R is antisymmetric and drops out of the real
-    quadratic form, so there is no imaginary residue to check.  The
-    values pass :func:`check_tomograms`, slice normalization included.
-    """
-    psi = _cached_basis(rho.dim, grid.x_min, grid.x_max, grid.n_x)
-    n = np.arange(rho.dim)
-    values = np.empty((grid.n_theta, grid.n_x))
-    for i, theta in enumerate(grid.thetas):
-        u = np.exp(-1j * theta * n)
-        rotated = (u[:, None] * rho.elements * u.conj()[None, :]).real
-        values[i] = np.einsum("xn,xn->x", psi @ rotated, psi)
-    check_tomograms(values[:, None, :], grid.x)
-    return Tomogram(grid, values)
+    """Tomogram of a density matrix: :func:`tomograms_of_diagonals` of its
+    diagonals rho_{j+d, j} with T = 1, passed through :func:`check_tomograms`."""
+    values = tomograms_of_diagonals((rho.elements.diagonal(-d)[None] for d in range(rho.dim)), grid)
+    check_tomograms(values, grid.x)
+    return Tomogram(grid, values[:, 0])
 
 
 def tomograms_of_diagonals(
@@ -263,27 +251,33 @@ def tomograms_of_diagonals(
 
         omega(x, theta) = sum_d c_d sum_j psi_{j+d}(x) psi_j(x) Re(e^{-i d theta} x_{d,j}),
 
-    c_0 = 1 and c_d = 2 for d >= 1, so each diagonal adds one real product
-    of its rotated real parts, (n_theta T, J), with the basis products
-    psi_{j+d} psi_j, (J, n_x), built for that diagonal alone.  Returns
-    values[i, k, j] = omega_k(x_j, theta_i), unchecked: see
-    :func:`check_tomograms`.
+    c_0 = 1 and c_d = 2 for d >= 1, with basis products G_d = psi_{j+d} psi_j,
+    (J, n_x), built for each diagonal alone.  On at most two phases, each
+    diagonal's rotated real parts, (n_theta T, J), multiply G_d.  On more, the
+    basis is contracted first, H_d = [Re x_d; Im x_d] G_d, (2, T, n_x), and
+    [c_d cos d theta, c_d sin d theta] H_d is added.  Returns values[i, k, j] =
+    omega_k(x_j, theta_i), unchecked: see :func:`check_tomograms`.
     """
     out = None
     for d, x_d in enumerate(diagonals):
         if out is None:
             T, dim = x_d.shape
             psi = _cached_basis(dim, grid.x_min, grid.x_max, grid.n_x)
-            out = np.zeros((grid.n_theta * T, grid.n_x))
+            out = np.zeros((grid.n_theta, T, grid.n_x))
+            thetas = np.array(grid.thetas)
         weight = 1.0 if d == 0 else 2.0
-        rotated = np.concatenate(
-            [
-                weight * math.cos(d * theta) * x_d.real + weight * math.sin(d * theta) * x_d.imag
-                for theta in grid.thetas
-            ]
-        )
-        out += rotated @ (psi[:, d:] * psi[:, : dim - d]).T
-    return out.reshape(grid.n_theta, T, grid.n_x)
+        basis = (psi[:, d:] * psi[:, : dim - d]).T
+        if grid.n_theta <= 2:
+            # rotate first, with math.cos, to keep the sweeps' values bit for bit: a mirror-
+            # symmetric unitary series has twin minima that print alike; references record one
+            cos, sin = ([weight * f(d * th) for th in grid.thetas] for f in (math.cos, math.sin))
+            rotated = np.multiply.outer(cos, x_d.real) + np.multiply.outer(sin, x_d.imag)
+            out += (rotated.reshape(-1, dim - d) @ basis).reshape(out.shape)
+        else:
+            rotation = weight * np.stack([np.cos(d * thetas), np.sin(d * thetas)], axis=1)
+            contracted = np.stack([x_d.real, x_d.imag]) @ basis
+            out += (rotation @ contracted.reshape(2, -1)).reshape(out.shape)
+    return out
 
 
 def check_tomograms(values: np.ndarray, x: np.ndarray) -> None:

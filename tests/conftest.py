@@ -1,5 +1,7 @@
 """Shared fixtures and test-only reference helpers."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -7,6 +9,7 @@ from scipy.special import gammaln
 from nltomo.errors import ValidationError
 from nltomo.evolve import DampingChannel, _cascade_block, _from_blocks
 from nltomo.presets import preset_names, run_preset
+from nltomo.tomography import hermite_basis
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +110,55 @@ def lindblad_rhs(rho, medium, damping):
     L = np.sqrt(damping.gamma) * L
     LdL = L.T @ L
     return rhs + L @ mat @ L.T - 0.5 * (LdL @ mat + mat @ LdL)
+
+
+def dense_tomogram(rho, grid):
+    """(n_theta, n_x) tomogram of a density matrix by the dense formula, slice by slice.
+
+    omega(x, theta) = psi^T Re(R) psi with R_nm = e^{-i n theta} rho_nm e^{i m theta}:
+    each rotated matrix is formed whole, so this shares only the Hermite
+    basis with the diagonal kernel it checks.
+    """
+    psi = hermite_basis(rho.dim, grid.x)
+    n = np.arange(rho.dim)
+    values = np.empty((grid.n_theta, grid.n_x))
+    for i, theta in enumerate(grid.thetas):
+        u = np.exp(-1j * theta * n)
+        rotated = (u[:, None] * rho.elements * u.conj()[None, :]).real
+        values[i] = np.einsum("xn,xn->x", psi @ rotated, psi)
+    return values
+
+
+def rotate_first_tomograms(diagonals, grid):
+    """The diagonal kernel as sweeps have always run it: (n_theta, T, n_x).
+
+    Each diagonal's rotated real parts are stacked phase by phase, one
+    array per phase, and multiplied by its basis products.
+    """
+    out = None
+    for d, x_d in enumerate(diagonals):
+        if out is None:
+            T, dim = x_d.shape
+            psi = hermite_basis(dim, grid.x)
+            out = np.zeros((grid.n_theta * T, grid.n_x))
+        weight = 1.0 if d == 0 else 2.0
+        rotated = np.concatenate(
+            [
+                weight * math.cos(d * theta) * x_d.real + weight * math.sin(d * theta) * x_d.imag
+                for theta in grid.thetas
+            ]
+        )
+        out += rotated @ (psi[:, d:] * psi[:, : dim - d]).T
+    return out.reshape(grid.n_theta, T, grid.n_x)
+
+
+def f_string_dump_text(tomo):
+    """``Tomogram.to_dump_text`` written line by line with an f-string."""
+    x_txt = ["%.9g" % x for x in tomo.grid.x.tolist()]
+    blocks = ["# theta x omega"]
+    for theta, row in zip(tomo.grid.thetas, tomo.values):
+        theta_txt = "%.9g" % theta
+        blocks.append(
+            "\n".join(f"{theta_txt} {xt} {'%.12g' % v}" for xt, v in zip(x_txt, row.tolist()))
+        )
+    return "\n".join(blocks) + "\n"

@@ -11,6 +11,8 @@ from nltomo.evolve import (
     MediumKind,
     MediumSpec,
     TimeGrid,
+    _block_generator,
+    _eigenbasis,
     _from_blocks,
     _lower_by_diagonal,
     coherence_block_solve,
@@ -22,6 +24,7 @@ from nltomo.evolve import (
     propagate_unitary,
     revival_time,
 )
+from nltomo.presets import preset_configs
 from nltomo.states import (
     FockVector,
     InitialStateSpec,
@@ -315,6 +318,20 @@ def test_amplitude_exact_states_ill_conditioned_cubic_blocks():
     for t, rho_t in zip(times, evolved_states(rho0, medium, damping, np.array(times))):
         direct = coherence_block_solve(rho0, medium, 1.0, t)
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
+
+
+@pytest.mark.parametrize("preset", ["fig12", "fig13", "fig19"])
+def test_closed_form_eigenbasis_of_the_cubic_blocks(preset):
+    # every cubic block of the amplitude-damping presets, at their dim and rate
+    cfg = preset_configs(preset)[0]
+    assert cfg.medium.kind is MediumKind.CUBIC
+    phi = cfg.medium.phase_exponents(cfg.dim)
+    for d in range(1, cfg.dim):
+        a, b = _block_generator(cfg.medium, phi, cfg.damping.gamma, d)
+        V, V_inv = _eigenbasis(a, b)
+        A = np.diag(a) + np.diag(b, 1)
+        assert np.max(np.abs(A @ V - V * a)) < 1e-12
+        assert np.max(np.abs(V @ V_inv - np.eye(a.size))) < 1e-12
 
 
 def test_amplitude_exact_states_stepping_keeps_trace():

@@ -22,13 +22,14 @@ from nltomo.config import (
     config_to_text,
     parse_config_text,
 )
-from nltomo.errors import ValidationError
+from nltomo.errors import NumericalInvariantError, ValidationError
 from nltomo.evolve import (
     DampingChannel,
     DampingSpec,
     MediumKind,
     MediumSpec,
     coherence_block_solve,
+    coherence_diagonals,
     evolved_states,
     propagate_phase_damping,
     propagate_unitary,
@@ -42,9 +43,14 @@ from nltomo.runner import (
     run_experiment,
 )
 from nltomo.states import InitialStateSpec, StateKind, density_from_pure
-from nltomo.tomography import symmetric_grid, tomogram_of_density, uniform_thetas
+from nltomo.tomography import (
+    check_tomograms,
+    symmetric_grid,
+    tomogram_of_density,
+    uniform_thetas,
+)
 
-from conftest import parse_dump
+from conftest import dense_tomogram, parse_dump
 
 BASE_TEXT = """\
 # small, fast sweep used across the runner tests
@@ -519,6 +525,53 @@ def test_cli_run_exits_3_when_the_window_cuts_the_state(tmp_path, capsys, channe
     assert main(["run", str(path)]) == EXIT_INVARIANT
     assert "tomogram slice normalization off by" in capsys.readouterr().err
     assert not (tmp_path / "out" / "cut.csv").exists()
+
+
+DUMPS_ONLY = "out.products = tomogram_dump\nout.tomograms_at = "
+
+
+@pytest.mark.parametrize("channel", ["amplitude", "phase"])
+def test_dump_only_run_on_a_tight_window_warns_and_exits_3(tmp_path, capsys, channel):
+    text = TIGHT_WINDOW_TEXT + f"damping.channel = {channel}\n" + DUMPS_ONLY + "0.0,0.005\n"
+    cfg = config_from_text(text + "grid.x_max = 10.1\ngrid.n_x = 203\n" + f"out.dir = {tmp_path}\n")
+    assert cfg.products == frozenset({Product.TOMOGRAM_DUMP})
+    with pytest.warns(RuntimeWarning, match="off-grid") as caught:
+        result = run_experiment(cfg)
+    assert len(result.dump_paths) == 2
+    assert sum("off-grid" in str(w.message) for w in caught) == 2
+
+    # the message of the dense per-state tomogram of the first refused state
+    grid = symmetric_grid(7.0, 141, uniform_thetas(cfg.theta_count))
+    want = dense_tomogram(density_from_pure(cfg.initial_state.build(cfg.dim)), grid)
+    with pytest.raises(NumericalInvariantError, match="normalization off by") as refused:
+        check_tomograms(want[:, None, :], grid.x)
+    path = tmp_path / "cut.cfg"
+    path.write_text(text + f"grid.x_max = 7\ngrid.n_x = 141\nout.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(path)]) == EXIT_INVARIANT
+    assert str(refused.value) in capsys.readouterr().err
+
+
+def test_dumps_before_a_refused_time_are_written(tmp_path, monkeypatch):
+    # by t = 100 T_rev amplitude damping has shrunk the state into the window
+    # that cuts it at t = 0; the dump of the first time is still written
+    text = TIGHT_WINDOW_TEXT + "damping.channel = amplitude\ngrid.x_max = 7\ngrid.n_x = 141\n"
+    cfg = config_from_text(text + DUMPS_ONLY + f"100,0,50\nout.dir = {tmp_path}\n")
+    with pytest.raises(NumericalInvariantError, match="normalization off by"):
+        run_experiment(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_tomogram_t100trev.dat"]
+
+    # a state the density-matrix checks refuse: non-finite at the second time
+    def poisoned(*args):
+        for chunk, diagonals in coherence_diagonals(*args):
+            diagonals = [x.copy() for x in diagonals]
+            diagonals[3][1, 0] = np.nan
+            yield chunk, iter(diagonals)
+
+    monkeypatch.setattr(nltomo.runner, "coherence_diagonals", poisoned)
+    cfg = dataclasses.replace(cfg, out_dir=tmp_path / "nan", tomograms_at=(100.0, 50.0, 60.0))
+    with pytest.raises(ValidationError, match="density matrix contains non-finite entries"):
+        run_experiment(cfg)
+    assert sorted(p.name for p in cfg.out_dir.iterdir()) == ["run_tomogram_t100trev.dat"]
 
 
 # --- convergence and oracle reports ---------------------------------------------

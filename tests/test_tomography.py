@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from nltomo.errors import NumericalInvariantError, ValidationError
-from nltomo.evolve import MediumKind, MediumSpec, propagate_unitary, revival_time
+from nltomo.evolve import (
+    MediumKind,
+    MediumSpec,
+    coherence_diagonals,
+    propagate_phase_damping,
+    propagate_unitary,
+    revival_time,
+)
+from nltomo.presets import preset_configs
+from nltomo.runner import _resolve_window
 from nltomo.states import FockVector, InitialStateSpec, StateKind, density_from_pure
 from nltomo.tomography import (
     QuadratureGrid,
@@ -19,7 +28,7 @@ from nltomo.tomography import (
     uniform_thetas,
 )
 
-from conftest import parse_dump
+from conftest import dense_tomogram, f_string_dump_text, parse_dump, rotate_first_tomograms
 
 KERR = MediumSpec(MediumKind.KERR, 5.0)
 
@@ -231,16 +240,42 @@ def test_grid_points_and_thetas_are_cached_read_only():
 
 
 def test_tomograms_of_diagonals_match_tomogram_of_density():
-    states = [
-        density_from_pure(InitialStateSpec(StateKind.PHOTON_ADDED, 1.2 + 0.7j, 2).build(30)),
-        propagate_unitary(coherent_rho(1.5 - 0.4j, 30), KERR, 0.05),
-    ]
-    grid = symmetric_grid(9.0, 181, (0.0, 0.3, 0.5 * math.pi))
-    diagonals = (np.array([np.diagonal(r.elements, -d) for r in states]) for d in range(30))
+    # both branches of the kernel (rotate first on two phases, contract the
+    # basis first on more), on one and on five mixed states, on a symmetric
+    # and on a user grid, against the dense formula
+    rho0 = density_from_pure(InitialStateSpec(StateKind.PHOTON_ADDED, 1.2 + 0.7j, 2).build(30))
+    for thetas in (conjugate_thetas(0.0), uniform_thetas(128)):
+        for window in ((-9.0, 9.0, 181), (-7.5, 9.0, 170)):
+            grid = QuadratureGrid(*window, thetas)
+            for T in (1, 5):
+                states = [propagate_phase_damping(rho0, KERR, 0.3, 0.05 * k) for k in range(T)]
+                diagonals = (np.array([np.diagonal(r.elements, -d) for r in states]) for d in range(30))
+                values = tomograms_of_diagonals(diagonals, grid)
+                assert values.shape == (len(thetas), T, grid.n_x)
+                for k, rho in enumerate(states):
+                    want = dense_tomogram(rho, grid)
+                    assert np.max(np.abs(values[:, k] - want)) < 1e-13
+                    assert np.max(np.abs(tomogram_of_density(rho, grid).values - want)) < 1e-13
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig9"])
+def test_two_phase_kernel_is_the_rotate_first_loop_bit_for_bit(preset):
+    """The sweeps' two-slice tomograms equal those of the rotate-first loop.
+
+    A mirror-symmetric unitary series, such as fig1's, has twin minima at
+    29/59 and 30/59 T_rev whose CSV rows print alike.  Round-off picks one
+    of them, and the reference outputs of the benchmark record that pick,
+    so the two-phase values may not move by one bit.  Checked on the first
+    chunk of the fig1 (unitary) and fig9 (dephased) photon-added sweeps.
+    """
+    cfg = next(c for c in preset_configs(preset) if c.name.endswith("photon_added"))
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    grid = symmetric_grid(*_resolve_window(cfg, rho0), conjugate_thetas(0.0))
+    _, diagonals = next(coherence_diagonals(rho0, cfg.medium, cfg.damping, cfg.time_grid.values))
+    diagonals = list(diagonals)
+    assert diagonals[0].shape[0] == 64
     values = tomograms_of_diagonals(diagonals, grid)
-    assert values.shape == (3, 2, 181)
-    for k, rho in enumerate(states):
-        assert np.allclose(values[:, k], tomogram_of_density(rho, grid).values, rtol=0, atol=1e-14)
+    assert np.array_equal(values, rotate_first_tomograms(diagonals, grid))
 
 
 def gaussian_slices(x, scales):
@@ -292,6 +327,22 @@ def test_dump_format_and_roundtrip(tmp_path):
     assert np.allclose(thetas, grid.thetas, atol=1e-9)
     assert np.allclose(x, grid.x, atol=1e-8)
     assert np.max(np.abs(values - tomo.values)) < 1e-10
+
+
+@pytest.mark.parametrize("window", ["fig13", (-6.0, 6.0, 51)])
+def test_dump_text_is_byte_identical_to_the_f_string_formatter(window, rng):
+    if window == "fig13":
+        cfg = preset_configs("fig13")[0]
+        window = _resolve_window(cfg, density_from_pure(cfg.initial_state.build(cfg.dim)))
+        grid = symmetric_grid(*window, uniform_thetas(cfg.theta_count))
+    else:
+        grid = QuadratureGrid(*window, (0.0, 0.5 * math.pi, math.pi))
+    values = rng.uniform(0.0, 0.6, (grid.n_theta, grid.n_x))
+    edge = [0.0, 5e-324, 1e-300, 1e-5, 123456789012.5, 1.0, 0.1, 1.0 / 3.0]
+    values[:, : len(edge)] = edge
+    values[-1, -len(edge) :] = edge
+    tomo = Tomogram(grid, values)
+    assert tomo.to_dump_text() == f_string_dump_text(tomo)
 
 
 def test_parse_dump_rejects_bad_header():
