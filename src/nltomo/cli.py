@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_oracle = sub.add_parser(
-        "oracle", help="cross-check the configured propagator against a dense exp(tL) reference"
+        "oracle",
+        help="cross-check the configured propagator against a dense exp(tL) reference "
+        "(and, under amplitude damping, the per-block exponential at full dim)",
     )
     p_oracle.add_argument("config", help="path to the config file")
     p_oracle.add_argument(

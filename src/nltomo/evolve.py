@@ -20,6 +20,9 @@ a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
 the eigenvectors of A_d.  Either form is closed in t, so any time list
 is evaluated directly, with no stepping; a cubic block whose
 eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
+Both forms need e^{t a_j}, and a_j = r_{j+d} + conj(r_j) with
+r_n = -i chi f(n) - gamma n / 2, so one table e^{t r_n} per batch of
+times, dim exponentials per time, serves every block.
 Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
@@ -44,6 +47,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalInvariantError, ValidationError
 from .states import DensityMatrix, log_factorials
@@ -231,24 +235,24 @@ def expm(M: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _cascade_block(dim: int, d: int) -> np.ndarray:
-    """Binomial amplitudes of block d, cached and read-only.
+def _cascade_hankel(dim: int, d: int) -> np.ndarray:
+    """Binomial amplitudes of block d in Hankel form, cached and read-only.
 
-    Returns B of shape (J, J) with J = dim - d, where
-    B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k)) couples x_j(t) to x_{j+k}(0).
-    Entries below the diagonal are zero.
+    Returns H of shape (J, J) with J = dim - d, where
+    H[k, j] = sqrt(C(j+d+k, k) C(j+k, k)) couples x_j(t) to x_{j+k}(0).
+    Entries with j + k >= J are zero.
     """
     J = dim - d
-    row = np.arange(J, dtype=np.int64)[:, None]
-    col = np.arange(J, dtype=np.int64)[None, :]
-    K = col - row
+    k = np.arange(J, dtype=np.int64)[:, None]
+    j = np.arange(J, dtype=np.int64)[None, :]
+    col = np.minimum(j + k, J - 1)  # clipped where H is zero anyway
     log_fact = log_factorials(dim)
-    log_b = 0.5 * (
-        log_fact[col + d] - log_fact[row + d] + log_fact[col] - log_fact[row]
-    ) - log_fact[np.maximum(K, 0)]
-    B = np.where(K >= 0, np.exp(log_b), 0.0)
-    B.setflags(write=False)
-    return B
+    log_h = 0.5 * (
+        log_fact[col + d] - log_fact[j + d] + log_fact[col] - log_fact[j]
+    ) - log_fact[k]
+    H = np.where(j + k < J, np.exp(log_h), 0.0)
+    H.setflags(write=False)
+    return H
 
 
 def _block_generator(
@@ -316,10 +320,11 @@ def coherence_diagonals(
     Yields one (chunk, diagonals) pair per run of up to 64 consecutive
     times; ``diagonals`` yields x_d(chunk) as a (T, dim - d) array for
     d = 0, 1, ..., dim - 1, one at a time, so no batch of whole states is
-    held.  Amplitude damping evaluates each block by :func:`_block_series`;
-    unitary evolution and dephasing multiply x_d(0) elementwise by
-    exp(t a_d), a_d = -i chi [f(j+d) - f(j)] - gamma d^2 / 2, the factor
-    of :func:`propagate_phase_damping`.  ``times`` is validated and the
+    held.  Amplitude damping evaluates each block by :func:`_block_series`,
+    with e^{t a} read from the chunk's Fock phase table; unitary evolution
+    and dephasing multiply x_d(0) elementwise by exp(t a_d),
+    a_d = -i chi [f(j+d) - f(j)] - gamma d^2 / 2, the factor of
+    :func:`propagate_phase_damping`.  ``times`` is validated and the
     per-block series are built on the call.
     """
     times = _validate_times(times)
@@ -353,7 +358,9 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
-_CHUNK = 64  # times per batch; at dim 100: 5.2 MB of blocks, and 5.4 MB of C or V per call
+# times per batch; at dim 100 a chunk's diagonals hold 5.2 MB and its phase table and its
+# conjugate 0.2 MB; the series of one call hold 5.4 MB of C or V, the cached Hankel blocks 2.7 MB
+_CHUNK = 64
 _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
 
 
@@ -372,73 +379,84 @@ def _eigenbasis(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_series(
     medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """times -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array; built once per block.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(times, e^{t a}) -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array; built once per block.
 
-    Where the diagonal a of A_d is equally spaced, with spacing delta,
-    the divided differences of e^{a t} telescope into powers of one
-    weight w = gamma (e^{delta t} - 1) / delta, and x(t) = e^{t a} o (W @ C)
-    with W[t, k] = w(t)^k and C[k, j] = B[j, j+k] x_{j+k}(0), zero where
-    j + k >= J (B from :func:`_cascade_block`).  That holds for every
-    Kerr block (delta = -(gamma + 2i chi d)) and for the population block
-    d = 0 in any medium (delta = -gamma).  Cubic blocks with d >= 1 use the
-    eigenvectors V of A_d (its eigenvalues are its diagonal, distinct for
-    gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential
-    at each time if cond_1(V) > _EIGEN_COND_MAX.
+    The second argument is e^{t a_j} for the diagonal a of A_d, (T, J), read
+    from the chunk's phase table (:func:`_diagonal_series`).  Where a is
+    equally spaced, with spacing delta, the divided differences of e^{a t}
+    telescope into powers of one weight w = gamma (e^{delta t} - 1) / delta,
+    and x(t) = e^{t a} o (W @ C) with W[t, k] = w(t)^k and
+    C[k, j] = H[k, j] x_{j+k}(0), zero where j + k >= J (H from
+    :func:`_cascade_hankel`).  That holds for every Kerr block
+    (delta = -(gamma + 2i chi d)) and for the population block d = 0 in any
+    medium (delta = -gamma).  Cubic blocks with d >= 1 use the eigenvectors
+    V of A_d (its eigenvalues are its diagonal, distinct for gamma > 0):
+    x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential at each time
+    if cond_1(V) > _EIGEN_COND_MAX.
     """
-    a, b = _block_generator(medium, phi, gamma, d)
-    J = a.size
-    j = np.arange(J)
+    J = x0.size
     if d == 0 or medium.kind is MediumKind.KERR:
         delta = -(gamma + 2j * medium.chi * d)
-        padded = np.zeros((J, 2 * J), dtype=np.complex128)
-        np.multiply(_cascade_block(phi.size, d), x0, out=padded[:, :J])
-        # C[k, j] = padded[j, j + k]; the zero half supplies j + k >= J
-        C = padded.reshape(-1)[j * (2 * J + 1) + j[:, None]]
+        # the Hankel matrix x0[j + k], zero past the block's end
+        window = sliding_window_view(np.append(x0, np.zeros(J - 1)), J)
+        C = _cascade_hankel(phi.size, d) * window
 
-        def cascade(times: np.ndarray) -> np.ndarray:
+        def cascade(times: np.ndarray, exp_ta: np.ndarray) -> np.ndarray:
             # delta != 0 for gamma > 0, and w = 0 at t = 0
             w = gamma * np.expm1(delta * times) / delta
-            return np.exp(np.multiply.outer(times, a)) * (np.vander(w, J, increasing=True) @ C)
+            return exp_ta * (np.vander(w, J, increasing=True) @ C)
 
         return cascade
+    a, b = _block_generator(medium, phi, gamma, d)
     V, V_inv = _eigenbasis(a, b)
     if np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1) <= _EIGEN_COND_MAX:
         c = V_inv @ x0
-        return lambda times: (np.exp(np.multiply.outer(times, a)) * c) @ V.T
+        return lambda times, exp_ta: (exp_ta * c) @ V.T
     # ill-conditioned, or overflowed to nan: the dense exponential per time
-    return lambda times: np.array([expm((np.diag(a) + np.diag(b, 1)) * t) @ x0 for t in times])
+    return lambda times, exp_ta: np.array(
+        [expm((np.diag(a) + np.diag(b, 1)) * t) @ x0 for t in times]
+    )
 
 
 def _diagonal_series(
     rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """times -> x_d(t) as a (T, dim - d) array, for d = 0, 1, ..., dim - 1."""
-    phi = medium.phase_exponents(rho0.dim)
-    x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
+) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """times -> the x_d(times) as (T, dim - d) arrays, d = 0, 1, ..., dim - 1, one at a time."""
+    dim = rho0.dim
+    phi = medium.phase_exponents(dim)
+    x0 = [np.diagonal(rho0.elements, -d) for d in range(dim)]
     if damping.channel is DampingChannel.AMPLITUDE:
-        return [_block_series(medium, phi, damping.gamma, d, x) for d, x in enumerate(x0)]
+        blocks = [_block_series(medium, phi, damping.gamma, d, x) for d, x in enumerate(x0)]
+        # a_j of block d is r_{j+d} + conj(r_j), so with the table U = e^{t r},
+        # dim exponentials per time, e^{t a} = U[:, d:] o conj(U[:, :dim-d])
+        rate = -1j * medium.chi * phi - 0.5 * damping.gamma * np.arange(dim)
 
-    def elementwise(d: int, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        a = -1j * medium.chi * (phi[d:] - phi[: phi.size - d]) - 0.5 * damping.gamma * d**2
-        return lambda times: x * np.exp(np.multiply.outer(times, a))
+        def amplitude(times: np.ndarray) -> Iterator[np.ndarray]:
+            table = np.exp(np.multiply.outer(times, rate))
+            table_bar = table.conj()
+            return (
+                block(times, table[:, d:] * table_bar[:, : dim - d])
+                for d, block in enumerate(blocks)
+            )
 
-    return [elementwise(d, x) for d, x in enumerate(x0)]
+        return amplitude
+    # one exp per element, as propagate_phase_damping does: the table's
+    # round-off would move the unitary series' twin minima, which print
+    # alike and of which the references record one
+    rates = [
+        -1j * medium.chi * (phi[d:] - phi[: dim - d]) - 0.5 * damping.gamma * d**2
+        for d in range(dim)
+    ]
+    return lambda times: (x * np.exp(np.multiply.outer(times, a)) for x, a in zip(x0, rates))
 
 
 def _chunks(
-    series: list[Callable[[np.ndarray], np.ndarray]], times: np.ndarray
+    diagonals: Callable[[np.ndarray], Iterator[np.ndarray]], times: np.ndarray
 ) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
     for start in range(0, times.size, _CHUNK):
         chunk = times[start : start + _CHUNK]
-        yield chunk, _evaluated(series, chunk)
-
-
-def _evaluated(
-    series: list[Callable[[np.ndarray], np.ndarray]], times: np.ndarray
-) -> Iterator[np.ndarray]:
-    # a function of its own, so each chunk's generator keeps its own times
-    return (block(times) for block in series)
+        yield chunk, diagonals(chunk)
 
 
 # --- dense reference integrator ---------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from nltomo.errors import ValidationError
-from nltomo.evolve import DampingChannel, _cascade_block, _from_blocks
+from nltomo.evolve import DampingChannel, _from_blocks
 from nltomo.presets import preset_names, run_preset
 from nltomo.tomography import hermite_basis
 
@@ -42,11 +42,17 @@ def amplitude_damping_factorial_variant(rho0, medium, gamma, t):
     blocks = []
     for d in range(dim):
         j = np.arange(dim - d)
-        k = np.maximum(j[None, :] - j[:, None], 0)
+        row, col = j[:, None], j[None, :]
+        k = np.maximum(col - row, 0)
+        # B[j, j+k] = sqrt(C(j+d+k, k) C(j+k, k)) couples x_j(t) to x_{j+k}(0)
+        log_binomial = 0.5 * (
+            gammaln(col + d + 1.0) - gammaln(row + d + 1.0) + gammaln(col + 1.0) - gammaln(row + 1.0)
+        ) - gammaln(k + 1.0)
+        binomial = np.where(col >= row, np.exp(log_binomial), 0.0)
         weights = w**k * np.exp(-gammaln(k + 1.0))
         a = -1j * medium.chi * (phi[j + d] - phi[j]) - 0.5 * gamma * (2 * j + d)
         x0 = np.diagonal(rho0.elements, -d)
-        blocks.append(np.exp(a * t) * ((_cascade_block(dim, d) * weights) @ x0))
+        blocks.append(np.exp(a * t) * ((binomial * weights) @ x0))
     return _from_blocks(np.concatenate(blocks), dim)
 
 

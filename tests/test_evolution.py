@@ -355,6 +355,26 @@ def test_amplitude_exact_states_matches_reference_at_fig8_size():
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "medium, dim, gamma, alpha_sq, times",
+    [
+        pytest.param(KERR, 100, 0.05, 40.0, np.array([0.1, 0.3, 0.55]) * math.pi / 5.0, id="fig8"),
+        pytest.param(CUBIC, 60, 0.1, 5.0, np.array([0.1, 1.0, 10.0, 100.0]), id="fig13"),
+        pytest.param(CUBIC, 70, 0.05, 5.0, np.array([0.1, 0.2, 0.35]) * math.pi / 5.0, id="fig19"),
+    ],
+)
+def test_phase_table_matches_block_reference_at_preset_size(medium, dim, gamma, alpha_sq, times):
+    # every amplitude-damping block reads e^{t a} from one Fock phase table
+    # per chunk; at the presets' dim, rate and times (the fig13 dump times
+    # reach gamma*t = 10) the states stay within 1e-13 of the dense per-block
+    # exponential
+    rho0 = padded_rho(dim=dim, alpha_sq=alpha_sq, p=3)
+    damping = DampingSpec(DampingChannel.AMPLITUDE, gamma)
+    for t, rho_t in zip(times, evolved_states(rho0, medium, damping, times)):
+        direct = coherence_block_solve(rho0, medium, gamma, float(t))
+        assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-13
+
+
 def test_amplitude_exact_states_validation():
     rho0 = coherent_rho(dim=8)
     damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)

@@ -42,7 +42,7 @@ from nltomo.runner import (
     oracle_report,
     run_experiment,
 )
-from nltomo.states import InitialStateSpec, StateKind, density_from_pure
+from nltomo.states import DensityMatrix, InitialStateSpec, StateKind, density_from_pure
 from nltomo.tomography import (
     check_tomograms,
     symmetric_grid,
@@ -626,6 +626,32 @@ def test_oracle_report_exact_solver_passes(tmp_path):
     assert report.passed
     assert max(report.deviations) < 1e-10
     assert "# overall: PASS" in report.text
+
+
+def test_oracle_report_checks_amplitude_damping_at_full_dim(tmp_path, monkeypatch):
+    # the exp(tL) lines stop at dim 15; amplitude damping is also checked at
+    # sim.dim = 25 against the per-block dense exponential
+    cfg = tiny_config(tmp_path, "damping.channel = amplitude\ndamping.gamma = 0.4\n")
+    report = oracle_report(cfg, samples=4)
+    assert report.dim == 15
+    assert len(report.deviations) == len(report.full_dim_deviations) == 4
+    assert max(report.full_dim_deviations) < 1e-12
+    assert "# dim=25 against coherence_block_solve" in report.text
+    assert report.passed
+    assert oracle_report(tiny_config(tmp_path), samples=4).full_dim_deviations == ()
+
+    # a reference that disagrees at full dim alone fails the report
+    def shifted(rho0, medium, gamma, t):
+        mat = coherence_block_solve(rho0, medium, gamma, t).elements.copy()
+        mat[0, 1] += 1e-6
+        mat[1, 0] += 1e-6
+        return DensityMatrix(rho0.dim, mat)
+
+    monkeypatch.setattr(nltomo.runner, "coherence_block_solve", shifted)
+    report = oracle_report(cfg, samples=4)
+    assert max(report.deviations) < 1e-12
+    assert not report.passed
+    assert "# overall: FAIL" in report.text
 
 
 @pytest.mark.parametrize("preset", ["fig4", "fig12", "fig13", "fig14"])
