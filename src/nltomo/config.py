@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _dump_label(t_over_trev: float) -> str:
+    """The time in a tomogram dump's file name: 6 significant digits, '.' as 'p'."""
+    return ("%.6g" % t_over_trev).replace(".", "p")
+
+
 class Product(enum.Enum):
     QUANTIFIERS_CSV = "quantifiers_csv"
     TOMOGRAM_DUMP = "tomogram_dump"
@@ -111,6 +116,15 @@ class ExperimentConfig:
             if not (math.isfinite(v) and v >= 0):
                 raise ValidationError(f"out.tomograms_at entries must be >= 0, got {v!r}")
         object.__setattr__(self, "tomograms_at", times)
+        labels: dict[str, float] = {}
+        for v in times:
+            label = _dump_label(v)
+            if label in labels:
+                raise ValidationError(
+                    f"out.tomograms_at entries {labels[label]!r} and {v!r} would both be "
+                    f"dumped to *_tomogram_t{label}trev.dat"
+                )
+            labels[label] = v
         if Product.TOMOGRAM_DUMP in products and not times:
             raise ValidationError(
                 "out.products includes tomogram_dump but out.tomograms_at is empty"

@@ -27,15 +27,15 @@ Phase damping (dephasing) multiplies each element by
 exp(-gamma (n-m)^2 t / 2) and commutes with the unitary part.
 
 Every channel evolves by one path: :func:`coherence_diagonals` yields
-the diagonals x_d(t) for a batch of times at a time, which sweeps and
-tomogram dumps read directly, and :func:`evolved_states` assembles them
-into whole states for the reports.
+the diagonals x_d(t) for a batch of times at a time.  Sweeps, tomogram
+dumps, the convergence sweep and the oracle all read them directly; no
+whole state is formed along that path.
 
 The per-time ``propagate_*`` functions and two dense references check
 that path: the exponential of each block at one time
 (:func:`coherence_block_solve`) and of the full superoperator
-(:func:`integrate_master`), which share only the generator, :func:`expm`
-and the block assembly with it.
+(:func:`integrate_master`), which share only the generator and
+:func:`expm` with it.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "propagate_phase_damping",
     "coherence_block_solve",
     "coherence_diagonals",
-    "evolved_states",
     "integrate_master",
 ]
 
@@ -265,21 +264,12 @@ def _block_generator(
     return a, b
 
 
-@functools.lru_cache(maxsize=8)
-def _lower_by_diagonal(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) of the lower triangle, diagonal by diagonal."""
-    rows, cols = np.tril_indices(dim)
-    order = np.argsort(rows - cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _from_blocks(packed: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix whose lower diagonals d = 0, 1, ... are the
     consecutive segments of packed, of lengths dim, dim - 1, ..."""
-    rows, cols = _lower_by_diagonal(dim)
+    rows, cols = np.tril_indices(dim)
+    order = np.argsort(rows - cols, kind="stable")
+    rows, cols = rows[order], cols[order]
     out = np.empty((dim, dim), dtype=np.complex128)
     out[cols, rows] = np.conj(packed)
     out[rows, cols] = packed
@@ -295,10 +285,11 @@ def coherence_block_solve(
     """Exact amplitude-damping propagation at one time: the dense reference.
 
     Each coherence block d is propagated as exp(A_d t) x_d(0) by the
-    dense exponential of its bidiagonal generator, in either medium.  It
-    shares no cascade and no eigenbasis with :func:`evolved_states`, which
-    it cross-checks; it costs about 0.2 s per call at dim 100 in the Kerr
-    medium, so for many times use :func:`evolved_states`.
+    dense exponential of its bidiagonal generator, in either medium, and
+    the blocks are assembled into one state.  It shares no cascade,
+    eigenbasis or phase table with :func:`coherence_diagonals`, which it
+    cross-checks; it costs about 0.2 s per call at dim 100 in the Kerr
+    medium, so for many times use :func:`coherence_diagonals`.
     """
     t = _validate_time(t)
     gamma = _validate_gamma(gamma)
@@ -329,24 +320,6 @@ def coherence_diagonals(
     """
     times = _validate_times(times)
     return _chunks(_diagonal_series(rho0, medium, damping), times)
-
-
-def evolved_states(
-    rho0: DensityMatrix, medium: MediumSpec, damping: DampingSpec, times: np.ndarray
-) -> Iterator[DensityMatrix]:
-    """The evolved state at each requested time, in order, for any channel.
-
-    Each state is assembled from its row of the :func:`coherence_diagonals`
-    of its chunk, so any time list, uniform or not, sorted or not, takes
-    one path and no round-off accumulates along it.  ``times`` is
-    validated on the call; the states are produced lazily, and only the
-    diagonals of the current chunk are held.
-    """
-    return (
-        DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
-        for _, diagonals in coherence_diagonals(rho0, medium, damping, times)
-        for row in np.concatenate(list(diagonals), axis=1)
-    )
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:

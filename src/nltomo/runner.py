@@ -10,25 +10,26 @@ take the coherence diagonals of up to 64 times at once from
 :func:`~nltomo.evolve.coherence_diagonals`, and a sweep computes their
 records together (:func:`~nltomo.quantifiers.records_of_diagonals`) while
 a dump passes them through the same tomogram kernel on its 128-phase grid.
-The convergence sweep and the oracle take whole states from
-:func:`~nltomo.evolve.evolved_states`.  Outputs are deterministic.
+The convergence sweep computes the records of its probe times the same
+way at each dim, and the oracle compares the diagonals with dense
+references.  Outputs are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, Product, config_to_text
+from .config import ExperimentConfig, Product, _dump_label, config_to_text
 from .errors import NumericalInvariantError, ValidationError
 from .evolve import (
     DampingChannel,
     coherence_block_solve,
     coherence_diagonals,
-    evolved_states,
     integrate_master,
     propagate_unitary,  # unused: perfbench/selftest.py traces runner.propagate_unitary
 )
@@ -36,7 +37,6 @@ from .quantifiers import (
     ENTROPY_BOUND,
     QuantifierRecord,
     find_local_minima,
-    nonclassical_area,
     records_of_diagonals,
 )
 from .states import (
@@ -167,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
             values = tomograms_of_diagonals(diagonals, dump_grid)
             for k in range(k_state):
                 check_tomograms(values[:, k : k + 1], dump_grid.x)
-                label = ("%.6g" % cfg.tomograms_at[len(dump_paths)]).replace(".", "p")
+                label = _dump_label(cfg.tomograms_at[len(dump_paths)])
                 path = cfg.out_dir / f"{cfg.name}_tomogram_t{label}trev.dat"
                 dump_paths.append(Tomogram(dump_grid, values[:, k]).write_dump(path))
             if refusal is not None:
@@ -214,42 +214,47 @@ class ConvergenceReport:
     text: str
 
 
-def convergence_sweep(
-    cfg: ExperimentConfig,
-    dims: Sequence[int],
-    tolerance: float = 1e-10,
-    probe_fractions: Sequence[float] = (0.25, 0.5, 1.0),
-) -> ConvergenceReport:
+_CONVERGE_TOL = 1e-10
+_PROBE_FRACTIONS = (0.25, 0.5, 1.0)
+
+
+def convergence_sweep(cfg: ExperimentConfig, dims: Sequence[int]) -> ConvergenceReport:
     """Re-run a few probe times at increasing truncation dimensions.
 
-    Tracks trace, mean photon number, and nonclassical area at each
-    probe time.  The first dim whose successor moves none of the three
-    observables beyond ``tolerance`` is declared converged (i.e. that
-    smaller dim was already adequate).
+    At each dim the probe times' CSV records are computed as a sweep
+    computes them, all on one window (the configured one, or the one
+    sized at the smallest dim).  The first dim whose successor moves none
+    of the area, the two entropies, the mean photon number and the trace
+    beyond 1e-10 is declared converged (i.e. that smaller dim was
+    already adequate).
     """
     dims = tuple(sorted(set(int(d) for d in dims)))
     if len(dims) < 2:
         raise ValidationError("need at least two distinct dims to compare")
     if any(d < 2 for d in dims):
         raise ValidationError(f"dims must be >= 2, got {dims}")
-    fractions = tuple(float(f) for f in probe_fractions)
-    if not fractions or any(not (0 <= f <= 1) for f in fractions):
-        raise ValidationError("probe fractions must lie in [0, 1]")
     t_end = cfg.t_end_over_trev * cfg.t_rev
-    probe_times = [f * t_end for f in fractions]
+    probe_times = [f * t_end for f in _PROBE_FRACTIONS]
+    window = _resolve_window(cfg, density_from_pure(cfg.initial_state.build(dims[0])))
 
-    area_rows, n_rows, trace_rows = [], [], []
+    records, n_rows = [], []
     for dim in dims:
         rho0 = density_from_pure(cfg.initial_state.build(dim))
-        states = list(evolved_states(rho0, cfg.medium, cfg.damping, probe_times))
-        area_rows.append(
-            [nonclassical_area(s, theta_count=cfg.theta_count) for s in states]
-        )
-        n_rows.append([ladder_expectations(s).n for s in states])
-        trace_rows.append([s.trace() for s in states])
-    areas = np.array(area_rows)
+        rows, photons = [], []
+        for chunk, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, probe_times):
+            x0 = next(diagonals)
+            # the <N> sum of ladder_expectations, bit for bit
+            photons += np.real(np.sum(np.arange(dim) * x0, axis=-1)).tolist()
+            rows += records_of_diagonals(
+                chunk, chain([x0], diagonals), cfg.t_rev, cfg.theta_count, window
+            )
+        records.append(rows)
+        n_rows.append(photons)
+    areas, s0, s90, traces = (
+        np.array([[getattr(r, field) for r in rows] for rows in records])
+        for field in ("nonclassical_area", "entropy_0", "entropy_90", "trace")
+    )
     mean_photons = np.array(n_rows)
-    traces = np.array(trace_rows)
 
     def pair_delta(table: np.ndarray, i: int) -> float:
         return float(np.max(np.abs(table[i + 1] - table[i])))
@@ -257,22 +262,22 @@ def convergence_sweep(
     per_pair = [
         {
             "area": pair_delta(areas, i),
+            "entropy": max(pair_delta(s0, i), pair_delta(s90, i)),
             "mean_photons": pair_delta(mean_photons, i),
             "trace": pair_delta(traces, i),
         }
         for i in range(len(dims) - 1)
     ]
     deltas = tuple(max(d.values()) for d in per_pair)
-    converged_at = None
-    for i, delta in enumerate(deltas):
-        if delta < tolerance:
-            converged_at = dims[i]
-            break
+    converged_at = next((d for d, delta in zip(dims, deltas) if delta < _CONVERGE_TOL), None)
 
     lines = [
         f"# convergence sweep: {cfg.name}",
-        "# probe times (t/T_rev): " + ", ".join("%g" % f for f in fractions),
-        "# observables: nonclassical area, mean photon number, trace",
+        "# probe times (t/T_rev): "
+        + ", ".join("%g" % (f * cfg.t_end_over_trev) for f in _PROBE_FRACTIONS),
+        "# observables: nonclassical area, entropies at theta = 0 and pi/2, "
+        "mean photon number, trace",
+        "# entropy window: x_max=%g n_x=%d" % window,
     ]
     for i, dim in enumerate(dims):
         cells = "  ".join(
@@ -284,19 +289,19 @@ def convergence_sweep(
         parts = "  ".join(f"{k}={v:.3e}" for k, v in detail.items())
         lines.append(f"# max |delta| dim {dims[i]} -> {dims[i + 1]}: {parts}")
     if converged_at is None:
-        lines.append(f"# not converged at tolerance {tolerance:g}")
+        lines.append(f"# not converged at tolerance {_CONVERGE_TOL:g}")
     else:
-        lines.append(f"# converged at dim={converged_at} (tolerance {tolerance:g})")
+        lines.append(f"# converged at dim={converged_at} (tolerance {_CONVERGE_TOL:g})")
     text = "\n".join(lines) + "\n"
     return ConvergenceReport(
         dims=dims,
-        probe_fractions=fractions,
+        probe_fractions=_PROBE_FRACTIONS,
         areas=areas,
         mean_photons=mean_photons,
         traces=traces,
         deltas=deltas,
         converged_at=converged_at,
-        tolerance=tolerance,
+        tolerance=_CONVERGE_TOL,
         text=text,
     )
 
@@ -320,11 +325,12 @@ _ORACLE_TOL = 1e-8
 def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
     """Cross-check the configured propagator against dense references.
 
-    The dense superoperator integrator exp(t L) scales as O(dim^6), so that
-    check runs at dim = min(sim.dim, 15), on :func:`evolved_states`,
-    assembled from the diagonals that sweeps and dumps read: an elementwise
-    phase, the binomial cascade or a cubic block's eigenbasis.  Under
-    amplitude damping the same states are also checked at sim.dim against
+    At each probe time the coherence diagonals x_d = rho_{j+d, j} that
+    sweeps and dumps read (:func:`coherence_diagonals`) are compared with
+    those of a dense reference; both are hermitian, so nothing is left
+    out.  The superoperator integrator exp(t L) scales as O(dim^6), so that
+    check runs at dim = min(sim.dim, 15).  Under amplitude damping the
+    diagonals are also checked at sim.dim against
     :func:`coherence_block_solve`, the dense exponential of each coherence
     block, at the same probe times and tolerance.
     """
@@ -347,9 +353,14 @@ def oracle_report(cfg: ExperimentConfig, samples: int = 9) -> OracleReport:
 
     def compare(rho0: DensityMatrix, reference) -> list[float]:
         devs = []
-        for t, candidate in zip(times, evolved_states(rho0, cfg.medium, cfg.damping, times)):
-            dev = float(np.max(np.abs(candidate.elements - reference(rho0, float(t)).elements)))
-            devs.append(dev)
+        for chunk, diagonals in coherence_diagonals(rho0, cfg.medium, cfg.damping, times):
+            refs = [reference(rho0, float(t)).elements for t in chunk]
+            per_diagonal = [
+                np.max(np.abs(x_d - [ref.diagonal(-d) for ref in refs]), axis=1)
+                for d, x_d in enumerate(diagonals)
+            ]
+            devs += np.max(per_diagonal, axis=0).tolist()
+        for t, dev in zip(times, devs):
             verdict = "PASS" if dev <= _ORACLE_TOL else "FAIL"
             lines.append(f"t_over_trev={t / cfg.t_rev:.6g} max_dev={dev:.3e} {verdict}")
         return devs

@@ -7,8 +7,9 @@ import pytest
 from scipy.special import gammaln
 
 from nltomo.errors import ValidationError
-from nltomo.evolve import DampingChannel, _from_blocks
+from nltomo.evolve import DampingChannel, _from_blocks, coherence_diagonals
 from nltomo.presets import preset_names, run_preset
+from nltomo.states import DensityMatrix
 from nltomo.tomography import hermite_basis
 
 
@@ -54,6 +55,15 @@ def amplitude_damping_factorial_variant(rho0, medium, gamma, t):
         x0 = np.diagonal(rho0.elements, -d)
         blocks.append(np.exp(a * t) * ((binomial * weights) @ x0))
     return _from_blocks(np.concatenate(blocks), dim)
+
+
+def evolved_states(rho0, medium, damping, times):
+    """The state at each time, lazily: each row of the coherence diagonals assembled whole."""
+    return (
+        DensityMatrix(rho0.dim, _from_blocks(row, rho0.dim))
+        for _, diagonals in coherence_diagonals(rho0, medium, damping, times)
+        for row in np.concatenate(list(diagonals), axis=1)
+    )
 
 
 def laguerre_value(p, x):

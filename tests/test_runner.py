@@ -30,7 +30,6 @@ from nltomo.evolve import (
     MediumSpec,
     coherence_block_solve,
     coherence_diagonals,
-    evolved_states,
     propagate_phase_damping,
     propagate_unitary,
 )
@@ -50,7 +49,7 @@ from nltomo.tomography import (
     uniform_thetas,
 )
 
-from conftest import dense_tomogram, parse_dump
+from conftest import dense_tomogram, evolved_states, parse_dump
 
 BASE_TEXT = """\
 # small, fast sweep used across the runner tests
@@ -201,6 +200,16 @@ def test_config_tomograms_at():
         config_from_text(BASE_TEXT + "out.tomograms_at = -0.1\n")
     with pytest.raises(ValidationError, match="tomograms_at is empty"):
         config_from_text(BASE_TEXT + "out.products = tomogram_dump\n")
+
+
+def test_config_rejects_dump_times_that_share_a_file_name():
+    # both print as 0.123456 at 6 significant digits
+    with pytest.raises(ValidationError, match=r"0\.1234561 and 0\.1234562 .*t0p123456trev"):
+        config_from_text(BASE_TEXT + "out.tomograms_at = 0.1234561, 0.1234562\n")
+    with pytest.raises(ValidationError, match="0.1 and 0.1"):
+        config_from_text(BASE_TEXT + "out.tomograms_at = 0.1, 0.3, 0.1\n")
+    cfg = config_from_text(BASE_TEXT + "out.tomograms_at = 0.123456, 0.123457\n")
+    assert cfg.tomograms_at == (0.123456, 0.123457)
 
 
 def test_experiment_config_validation():
@@ -579,17 +588,33 @@ def test_dumps_before_a_refused_time_are_written(tmp_path, monkeypatch):
 
 def test_convergence_sweep(tmp_path):
     cfg = tiny_config(tmp_path)
-    report = convergence_sweep(cfg, (10, 20, 30))
-    assert report.dims == (10, 20, 30)
-    assert report.areas.shape == (3, 3)
-    assert report.mean_photons.shape == (3, 3)
+    report = convergence_sweep(cfg, (10, 20, 30, 40))
+    assert report.dims == (10, 20, 30, 40)
+    assert report.areas.shape == (4, 3)
+    assert report.mean_photons.shape == (4, 3)
     assert np.max(np.abs(report.traces - 1.0)) < 1e-10
     assert report.deltas[0] > report.tolerance  # dim 10 is visibly truncated
-    assert report.deltas[1] < report.tolerance
-    assert report.converged_at == 20
-    assert "converged at dim=20" in report.text
+    assert report.deltas[1] > report.tolerance  # so are the entropies at dim 20
+    assert report.deltas[2] < report.tolerance
+    assert report.converged_at == 30
+    assert "converged at dim=30" in report.text
+    # a quarter, half and all of the sweep, which ends at 0.2 T_rev
+    assert "# probe times (t/T_rev): 0.05, 0.1, 0.2\n" in report.text
     # the converged rows carry the physics: <N> = |alpha|^2 for a coherent state
     assert report.mean_photons[-1][0] == pytest.approx(2.0, abs=1e-10)
+
+
+def test_convergence_sweep_flags_the_entropies_alone(tmp_path):
+    # from dim 20 to 30 the tiny config's area, <N> and trace move by less
+    # than 4e-12, but its entropies by 1.1e-8, all on one window
+    report = convergence_sweep(tiny_config(tmp_path), (20, 30))
+    for table in (report.areas, report.mean_photons, report.traces):
+        assert np.max(np.abs(table[1] - table[0])) < report.tolerance
+    entropy = float(re.search(r"entropy=(\S+)", report.text).group(1))
+    assert entropy > report.tolerance
+    assert "%.3e" % report.deltas[0] == "%.3e" % entropy
+    assert report.converged_at is None
+    assert "# not converged at tolerance 1e-10" in report.text
 
 
 def test_convergence_sweep_vacuum_converges_immediately(tmp_path):
@@ -606,8 +631,6 @@ def test_convergence_sweep_validation(tmp_path):
         convergence_sweep(cfg, (30,))
     with pytest.raises(ValidationError, match="dims must be"):
         convergence_sweep(cfg, (1, 30))
-    with pytest.raises(ValidationError, match="probe fractions"):
-        convergence_sweep(cfg, (10, 20), probe_fractions=(1.5,))
 
 
 def test_oracle_report_exact_solver_passes(tmp_path):
@@ -721,6 +744,13 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "state.delta must be finite" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_dump_times_that_share_a_file_name(tmp_path, capsys):
+    path = write_config_file(tmp_path, extra="out.tomograms_at = 0.1234561, 0.1234562\n")
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "0.1234561 and 0.1234562" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_preset_list(capsys):
     assert main(["preset", "--list"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -747,9 +777,9 @@ def test_cli_preset_unknown_name(capsys):
 
 def test_cli_converge(tmp_path, capsys):
     path = write_config_file(tmp_path)
-    assert main(["converge", str(path), "--dims", "10,20,30"]) == EXIT_OK
+    assert main(["converge", str(path), "--dims", "10,20,30,40"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "dim=10" in out and "converged at dim=20" in out
+    assert "dim=10" in out and "converged at dim=30" in out
 
     assert main(["converge", str(path), "--dims", "10;20"]) == EXIT_VALIDATION
     assert "--dims" in capsys.readouterr().err
@@ -770,9 +800,11 @@ def test_cli_oracle_exit_codes(tmp_path, capsys, monkeypatch):
 
     # a propagator that leaves the state as it was fails the comparison
     def frozen(rho0, medium, damping, times):
-        return (rho0 for _ in times)
+        times = np.asarray(times)
+        x0 = [np.diagonal(rho0.elements, -d) for d in range(rho0.dim)]
+        yield times, (np.tile(x, (times.size, 1)) for x in x0)
 
-    monkeypatch.setattr(nltomo.runner, "evolved_states", frozen)
+    monkeypatch.setattr(nltomo.runner, "coherence_diagonals", frozen)
     assert main(["oracle", str(exact), "--samples", "4"]) == EXIT_INVARIANT
     assert "# overall: FAIL" in capsys.readouterr().out
 
