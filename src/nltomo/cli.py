@@ -7,12 +7,26 @@
 
 Exit codes: 0 success, 2 validation failure (bad config / arguments),
 3 numerical-invariant failure (including a failing oracle comparison).
+
+Each command runs on one OpenBLAS thread and gives the caller its thread
+count back when it returns.  The products are small (dim <= 100), so a
+second thread buys no wall time but spins beside each one, and the bits of
+a product may depend on the thread count.  No setting changes this: the
+environment's OPENBLAS_NUM_THREADS is not read.  Library calls
+(``run_experiment``, ``run_preset``, ...) keep the caller's threading, and
+where no OpenBLAS is loaded (MKL, Accelerate, no /proc/self/maps) the
+commands do too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
+import itertools
 import sys
+from collections.abc import Callable
 
 from .config import config_from_file
 from .errors import NumericalInvariantError, ValidationError
@@ -22,6 +36,47 @@ from .runner import convergence_sweep, oracle_report, run_experiment
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
+
+
+@functools.cache
+def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of each OpenBLAS the process has
+    loaded, looked up once; numpy's is loaded with this package."""
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = [line for line in maps if "openblas" in line]
+    except OSError:
+        return ()
+    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in lines})
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's counts."""
+    threads = _openblas_threads()
+    counts = [get() for get, _ in threads]
+    for _, put in threads:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(threads, counts):
+            put(count)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
-        return handlers[args.command](args)
+        with _one_blas_thread():
+            return handlers[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

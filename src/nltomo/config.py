@@ -290,8 +290,9 @@ def config_from_text(text: str, default_name: str | None = None) -> ExperimentCo
         raise ValidationError(f"state.delta must be finite, got {delta}")
     if kind is not StateKind.PHOTON_ADDED and "state.p" in kv:
         raise ValidationError("state.p is only valid for state.kind = photon_added")
-    alpha = math.sqrt(alpha_sq) * complex(math.cos(delta), math.sin(delta))
-    initial_state = InitialStateSpec(kind, alpha, **given({"state.p": ("p", _parse_int)}))
+    initial_state = InitialStateSpec._of_polar(
+        kind, alpha_sq, delta, **given({"state.p": ("p", _parse_int)})
+    )
 
     medium = MediumSpec(
         _parse_enum(MediumKind)("medium.kind", kv["medium.kind"]),
@@ -322,10 +323,14 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize back to the key=value format, fully resolved."""
     state = cfg.initial_state
+    alpha_sq, delta = state._polar or (
+        abs(state.alpha) ** 2,
+        math.atan2(state.alpha.imag, state.alpha.real),
+    )
     lines = [
         f"state.kind = {state.kind.value}",
-        f"state.alpha_sq = {abs(state.alpha) ** 2!r}",
-        f"state.delta = {math.atan2(state.alpha.imag, state.alpha.real)!r}",
+        f"state.alpha_sq = {alpha_sq!r}",
+        f"state.delta = {delta!r}",
     ]
     if state.kind is StateKind.PHOTON_ADDED:
         lines.append(f"state.p = {state.p}")

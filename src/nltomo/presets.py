@@ -45,20 +45,16 @@ _DUMP_GAMMA = 0.1
 _DUMP_GAMMA_T = (0.01, 0.1, 1.0, 10.0)
 
 
-def _alpha(alpha_sq: float) -> complex:
-    return math.sqrt(alpha_sq) * complex(math.cos(_DELTA), math.sin(_DELTA))
-
-
 def _coherent(alpha_sq: float) -> InitialStateSpec:
-    return InitialStateSpec(StateKind.COHERENT, _alpha(alpha_sq))
+    return InitialStateSpec._of_polar(StateKind.COHERENT, alpha_sq, _DELTA)
 
 
 def _added(alpha_sq: float) -> InitialStateSpec:
-    return InitialStateSpec(StateKind.PHOTON_ADDED, _alpha(alpha_sq), p=_P_ADDED)
+    return InitialStateSpec._of_polar(StateKind.PHOTON_ADDED, alpha_sq, _DELTA, p=_P_ADDED)
 
 
 def _even(alpha_sq: float) -> InitialStateSpec:
-    return InitialStateSpec(StateKind.EVEN_COHERENT, _alpha(alpha_sq))
+    return InitialStateSpec._of_polar(StateKind.EVEN_COHERENT, alpha_sq, _DELTA)
 
 
 _TRIO = (("coherent", _coherent), ("photon_added", _added), ("even", _even))

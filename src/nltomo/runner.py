@@ -169,7 +169,7 @@ def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResu
                 check_tomograms(values[:, k : k + 1], dump_grid.x)
                 label = _dump_label(cfg.tomograms_at[len(dump_paths)])
                 path = cfg.out_dir / f"{cfg.name}_tomogram_t{label}trev.dat"
-                dump_paths.append(Tomogram(dump_grid, values[:, k]).write_dump(path))
+                dump_paths.append(Tomogram._of_checked(dump_grid, values[:, k]).write_dump(path))
             if refusal is not None:
                 raise refusal
 

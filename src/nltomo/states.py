@@ -193,6 +193,18 @@ class InitialStateSpec:
     kind: StateKind
     alpha: complex
     p: int = 0
+    # the (|alpha|^2, delta) alpha was built from, which config_to_text writes:
+    # recovering them from alpha rounds, e.g. |alpha|^2 = 5 to 5.000000000000001
+    _polar: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of_polar(
+        cls, kind: StateKind, alpha_sq: float, delta: float, p: int = 0
+    ) -> InitialStateSpec:
+        """The spec with alpha = sqrt(alpha_sq) e^{i delta}, keeping the pair."""
+        spec = cls(kind, math.sqrt(alpha_sq) * complex(math.cos(delta), math.sin(delta)), p)
+        object.__setattr__(spec, "_polar", (alpha_sq, delta))
+        return spec
 
     def __post_init__(self):
         if not isinstance(self.kind, StateKind):

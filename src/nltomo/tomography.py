@@ -213,6 +213,17 @@ class Tomogram:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _of_checked(cls, grid: QuadratureGrid, values: np.ndarray) -> Tomogram:
+        """A tomogram of (n_theta, n_x) values that :func:`check_tomograms`
+        has passed, held as a read-only view: no second check, no copy."""
+        tomo = object.__new__(cls)
+        values = values.view()
+        values.setflags(write=False)
+        object.__setattr__(tomo, "grid", grid)
+        object.__setattr__(tomo, "values", values)
+        return tomo
+
     def to_dump_text(self) -> str:
         template = _dump_slice_template(self.grid.x_min, self.grid.x_max, self.grid.n_x)
         # joined slice by slice: one flat list of every line holds ~2 MB of
@@ -237,7 +248,7 @@ def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
     diagonals rho_{j+d, j} with T = 1, passed through :func:`check_tomograms`."""
     values = tomograms_of_diagonals((rho.elements.diagonal(-d)[None] for d in range(rho.dim)), grid)
     check_tomograms(values, grid.x)
-    return Tomogram(grid, values[:, 0])
+    return Tomogram._of_checked(grid, values[:, 0])
 
 
 def tomograms_of_diagonals(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nltomo
+from nltomo import cli
 from nltomo.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 from nltomo.config import (
     _KNOWN_KEYS,
@@ -43,6 +44,7 @@ from nltomo.runner import (
 )
 from nltomo.states import DensityMatrix, InitialStateSpec, StateKind, density_from_pure
 from nltomo.tomography import (
+    Tomogram,
     check_tomograms,
     symmetric_grid,
     tomogram_of_density,
@@ -285,6 +287,16 @@ def test_catalog_configs_roundtrip_exactly():
     assert len(configs) == 55
     for cfg in configs:
         assert config_from_text(config_to_text(cfg)) == cfg, cfg.name
+
+
+def test_resolved_config_writes_the_configured_alpha_sq_and_delta(tmp_path):
+    # recovered from the complex alpha, fig1's |alpha|^2 = 10 read 10.000000000000002
+    # and fig14's delta = pi/4 read 0.7853981633974482 (at |alpha|^2 = 3)
+    cases = [(preset_configs("fig1")[0], 10.0), (preset_configs("fig14")[0], 3.0)]
+    for cfg, alpha_sq in cases + [(tiny_config(tmp_path), 2.0)]:
+        lines = config_to_text(cfg).splitlines()
+        assert f"state.alpha_sq = {alpha_sq!r}" in lines, cfg.name
+        assert f"state.delta = {math.pi / 4!r}" in lines, cfg.name
 
 
 def test_config_rejects_empty_products():
@@ -711,6 +723,25 @@ def test_preset_configs_resolution(tmp_path):
     assert len(dump_run.tomograms_at) == 4
 
 
+def test_computed_tomograms_are_checked_once(tmp_path, monkeypatch):
+    # check_tomograms passes the values of tomogram_of_density and of every dump;
+    # the public constructor would check them a second time and copy them
+    cfg = tiny_config(tmp_path, "out.products = tomogram_dump\nout.tomograms_at = 0.0,0.1\n")
+    rho = density_from_pure(cfg.initial_state.build(cfg.dim))
+    grid = symmetric_grid(*_resolve_window(cfg, rho), uniform_thetas(3))
+    want_values = tomogram_of_density(rho, grid).values
+    want_dumps = [path.read_bytes() for path in run_experiment(cfg).dump_paths]
+
+    def checked_again(self):
+        raise AssertionError("Tomogram checked computed values again")
+
+    monkeypatch.setattr(Tomogram, "__post_init__", checked_again)
+    tomo = tomogram_of_density(rho, grid)
+    assert np.array_equal(tomo.values, want_values)
+    assert not tomo.values.flags.writeable
+    assert [path.read_bytes() for path in run_experiment(cfg).dump_paths] == want_dumps
+
+
 # --- command line ----------------------------------------------------------------
 
 
@@ -807,6 +838,68 @@ def test_cli_oracle_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(nltomo.runner, "coherence_diagonals", frozen)
     assert main(["oracle", str(exact), "--samples", "4"]) == EXIT_INVARIANT
     assert "# overall: FAIL" in capsys.readouterr().out
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread controls the CLI uses, at 2 threads; restored afterwards."""
+    threads = cli._openblas_threads()
+    if not threads:
+        pytest.skip("no OpenBLAS loaded")
+    counts = [get() for get, _ in threads]
+    for _, put in threads:
+        put(2)
+    try:
+        if any(get() != 2 for get, _ in threads):
+            pytest.skip("OpenBLAS cannot run 2 threads here")
+        yield threads
+    finally:
+        for (_, put), count in zip(threads, counts):
+            put(count)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (None, EXIT_OK),
+        (ValidationError("bad"), EXIT_VALIDATION),
+        (NumericalInvariantError("off"), EXIT_INVARIANT),
+    ],
+    ids=["ok", "validation", "invariant"],
+)
+def test_cli_runs_on_one_blas_thread_and_restores_the_count(
+    tmp_path, capsys, monkeypatch, blas_threads, error, code
+):
+    seen = []
+
+    def counting(cfg):
+        seen.append([get() for get, _ in blas_threads])
+        if error is not None:
+            raise error
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    assert main(["run", str(write_config_file(tmp_path))]) == code
+    assert seen == [[1] * len(blas_threads)]
+    assert [get() for get, _ in blas_threads] == [2] * len(blas_threads)
+
+
+def test_unitary_sweep_bits_do_not_depend_on_the_blas_thread_count(tmp_path, blas_threads):
+    # fig1-like: mirror-symmetric about T_rev/2 with an even step count, so the
+    # minima there are twins whose CSV rows print alike and the last bit picks one
+    text = (
+        "state.kind = coherent\nstate.alpha_sq = 10.0\nstate.delta = 0.7853981633974483\n"
+        "medium.kind = kerr\nsim.dim = 60\nsim.steps = 200\nsim.t_end_over_trev = 1.0\n"
+        "out.products = quantifiers_csv,minima_report\n"
+    )
+    outputs = []
+    for count in (1, 2):
+        for _, put in blas_threads:
+            put(count)
+        cfg = config_from_text(text + f"out.dir = {tmp_path / str(count)}\n", "fig1like")
+        result = run_experiment(cfg)
+        outputs.append((result.csv_path.read_bytes(), result.minima_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _child_env():
