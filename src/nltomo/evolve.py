@@ -179,11 +179,8 @@ def _validate_gamma(gamma: float) -> float:
 
 
 def propagate_unitary(rho0: DensityMatrix, medium: MediumSpec, t: float) -> DensityMatrix:
-    """Closed-system evolution: rho_nm(t) = e^{-i chi [f(n)-f(m)] t} rho_nm(0)."""
-    t = _validate_time(t, allow_negative=True)
-    phi = medium.phase_exponents(rho0.dim)
-    delta = phi[:, None] - phi[None, :]
-    return DensityMatrix(rho0.dim, rho0.elements * np.exp(-1j * medium.chi * delta * t))
+    """Closed-system evolution: rho_nm(t) = e^{-i chi [f(n)-f(m)] t} rho_nm(0), any finite t."""
+    return _propagate_elementwise(rho0, medium, 0.0, _validate_time(t, allow_negative=True))
 
 
 def propagate_phase_damping(
@@ -196,7 +193,14 @@ def propagate_phase_damping(
     photon statistics are frozen while coherences decay.
     """
     t = _validate_time(t)
-    gamma = _validate_gamma(gamma)
+    return _propagate_elementwise(rho0, medium, _validate_gamma(gamma), t)
+
+
+def _propagate_elementwise(
+    rho0: DensityMatrix, medium: MediumSpec, gamma: float, t: float
+) -> DensityMatrix:
+    """rho_nm(0) exp(-i chi [f(n)-f(m)] t - gamma (n-m)^2 t / 2), one exp per element; at
+    gamma = 0 the second term is a signed zero, so unitary factors are those of the first alone."""
     phi = medium.phase_exponents(rho0.dim)
     n = np.arange(rho0.dim, dtype=np.float64)
     delta_phi = phi[:, None] - phi[None, :]
@@ -319,7 +323,9 @@ def coherence_diagonals(
     per-block series are built on the call.
     """
     times = _validate_times(times)
-    return _chunks(_diagonal_series(rho0, medium, damping), times)
+    diagonals = _diagonal_series(rho0, medium, damping)
+    chunks = np.split(times, range(_CHUNK, times.size, _CHUNK))
+    return ((chunk, diagonals(chunk)) for chunk in chunks)
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:
@@ -422,14 +428,6 @@ def _diagonal_series(
         for d in range(dim)
     ]
     return lambda times: (x * np.exp(np.multiply.outer(times, a)) for x, a in zip(x0, rates))
-
-
-def _chunks(
-    diagonals: Callable[[np.ndarray], Iterator[np.ndarray]], times: np.ndarray
-) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
-    for start in range(0, times.size, _CHUNK):
-        chunk = times[start : start + _CHUNK]
-        yield chunk, diagonals(chunk)
 
 
 # --- dense reference integrator ---------------------------------------------

@@ -53,11 +53,14 @@ def _added(alpha_sq: float) -> InitialStateSpec:
     return InitialStateSpec._of_polar(StateKind.PHOTON_ADDED, alpha_sq, _DELTA, p=_P_ADDED)
 
 
-def _even(alpha_sq: float) -> InitialStateSpec:
-    return InitialStateSpec._of_polar(StateKind.EVEN_COHERENT, alpha_sq, _DELTA)
-
-
-_TRIO = (("coherent", _coherent), ("photon_added", _added), ("even", _even))
+def _trio(alpha_sq: float, dim: int) -> list[tuple[str, InitialStateSpec, int]]:
+    """The coherent, photon-added and even coherent runs at one |alpha|^2 and dim."""
+    even = InitialStateSpec._of_polar(StateKind.EVEN_COHERENT, alpha_sq, _DELTA)
+    return [
+        ("coherent", _coherent(alpha_sq), dim),
+        ("photon_added", _added(alpha_sq), dim),
+        ("even", even, dim),
+    ]
 
 
 def _gamma_t_end_over_trev(gamma_t_max: float, gamma: float, medium: MediumSpec) -> float:
@@ -65,66 +68,30 @@ def _gamma_t_end_over_trev(gamma_t_max: float, gamma: float, medium: MediumSpec)
     return t_end / (math.pi / medium.chi)
 
 
-def _trio_runs(
+def _runs(
     preset: str,
-    alpha_sq: float,
+    runs: list[tuple[str, InitialStateSpec, int]],
     medium: MediumSpec,
     damping: DampingSpec,
-    dim: int,
     t_end_over_trev: float,
     steps: int,
     products: frozenset,
+    tomograms_at: tuple[float, ...] = (),
 ) -> list[ExperimentConfig]:
+    """One config per (label, initial state, dim) of ``runs``, named <preset>_<label>."""
     return [
         ExperimentConfig(
-            initial_state=make(alpha_sq),
+            initial_state=state,
             medium=medium,
             damping=damping,
             dim=dim,
             t_end_over_trev=t_end_over_trev,
             steps=steps,
             products=products,
+            tomograms_at=tomograms_at,
             name=f"{preset}_{label}",
         )
-        for label, make in _TRIO
-    ]
-
-
-def _coherent_runs(
-    preset: str, medium: MediumSpec, sizes: tuple[tuple[float, int], ...]
-) -> list[ExperimentConfig]:
-    """Undamped coherent-state sweeps, one per (|alpha|^2, dim)."""
-    return [
-        ExperimentConfig(
-            initial_state=_coherent(a2),
-            medium=medium,
-            damping=_NO_DAMPING,
-            dim=dim,
-            t_end_over_trev=1.0,
-            steps=500,
-            products=_CSV,
-            name=f"{preset}_a{int(a2)}",
-        )
-        for a2, dim in sizes
-    ]
-
-
-def _dump_runs(preset: str, channel: DampingChannel) -> list[ExperimentConfig]:
-    """Cubic 3-photon-added tomogram dumps at the gamma*t milestones."""
-    return [
-        ExperimentConfig(
-            initial_state=_added(5.0),
-            medium=_CUBIC,
-            damping=DampingSpec(channel, _DUMP_GAMMA),
-            dim=60,
-            t_end_over_trev=_gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
-            steps=200,
-            products=_DUMPS,
-            tomograms_at=tuple(
-                _gamma_t_end_over_trev(gt, _DUMP_GAMMA, _CUBIC) for gt in _DUMP_GAMMA_T
-            ),
-            name=f"{preset}_photon_added",
-        )
+        for label, state, dim in runs
     ]
 
 
@@ -134,26 +101,41 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     def add(name: str, description: str, runs: list[ExperimentConfig]) -> None:
         cat[name] = (description, runs)
 
+    # gamma*t up to 10 at gamma = 0.1, in units of T_rev
+    kerr_gamma_t = _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _KERR)
+    cubic_gamma_t = _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC)
+
     # --- Kerr medium: nonclassical-area dynamics ---
     add(
         "fig1",
         "Kerr, no damping: area vs t for the three states, |alpha|^2=10, dim=60",
-        _trio_runs("fig1", 10.0, _KERR, _NO_DAMPING, 60, 1.0, 500, _CSV_MINIMA),
+        _runs("fig1", _trio(10.0, 60), _KERR, _NO_DAMPING, 1.0, 500, _CSV_MINIMA),
     )
     add(
         "fig2",
         "Kerr, no damping: coherent-state area vs t for |alpha|^2=10,15,20",
-        _coherent_runs("fig2", _KERR, ((10.0, 60), (15.0, 70), (20.0, 80))),
+        _runs(
+            "fig2",
+            [
+                ("a10", _coherent(10.0), 60),
+                ("a15", _coherent(15.0), 70),
+                ("a20", _coherent(20.0), 80),
+            ],
+            _KERR,
+            _NO_DAMPING,
+            1.0,
+            500,
+            _CSV,
+        ),
     )
     add(
         "fig3",
         "Kerr, amplitude damping gamma=0.1: area vs t, |alpha|^2=10, dim=60",
-        _trio_runs(
+        _runs(
             "fig3",
-            10.0,
+            _trio(10.0, 60),
             _KERR,
             DampingSpec(DampingChannel.AMPLITUDE, 0.1),
-            60,
             1.0,
             500,
             _CSV,
@@ -162,13 +144,12 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig4",
         "Kerr, amplitude damping: area vs gamma*t up to 10, |alpha|^2=5 (gamma=0.1)",
-        _trio_runs(
+        _runs(
             "fig4",
-            5.0,
+            _trio(5.0, 50),
             _KERR,
             DampingSpec(DampingChannel.AMPLITUDE, _DUMP_GAMMA),
-            50,
-            _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _KERR),
+            kerr_gamma_t,
             200,
             _CSV,
         ),
@@ -176,12 +157,11 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig5",
         "Kerr, phase damping gamma=0.1: area vs t, |alpha|^2=10, dim=60",
-        _trio_runs(
+        _runs(
             "fig5",
-            10.0,
+            _trio(10.0, 60),
             _KERR,
             DampingSpec(DampingChannel.PHASE, 0.1),
-            60,
             1.0,
             500,
             _CSV,
@@ -190,31 +170,30 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig6",
         "Kerr, phase damping: area vs gamma*t up to 10, |alpha|^2=5 (gamma=0.1)",
-        _trio_runs(
+        _runs(
             "fig6",
-            5.0,
+            _trio(5.0, 50),
             _KERR,
             DampingSpec(DampingChannel.PHASE, _DUMP_GAMMA),
-            50,
-            _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _KERR),
+            kerr_gamma_t,
             200,
             _CSV,
         ),
     )
 
     # --- Kerr medium: entropy-sum dynamics at high field strength ---
-    entropy_kerr = dict(dim=100, t_end_over_trev=0.55, steps=700, products=_CSV_MINIMA)
+    entropy_kerr = dict(t_end_over_trev=0.55, steps=700, products=_CSV_MINIMA)
     add(
         "fig7",
         "Kerr, no damping: entropy sum vs t, |alpha|^2=40, dim=100",
-        _trio_runs("fig7", 40.0, _KERR, _NO_DAMPING, **entropy_kerr),
+        _runs("fig7", _trio(40.0, 100), _KERR, _NO_DAMPING, **entropy_kerr),
     )
     add(
         "fig8",
         "Kerr, amplitude damping gamma=0.05: entropy sum vs t, |alpha|^2=40",
-        _trio_runs(
+        _runs(
             "fig8",
-            40.0,
+            _trio(40.0, 100),
             _KERR,
             DampingSpec(DampingChannel.AMPLITUDE, 0.05),
             **entropy_kerr,
@@ -223,9 +202,9 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig9",
         "Kerr, phase damping gamma=0.05: entropy sum vs t, |alpha|^2=40",
-        _trio_runs(
+        _runs(
             "fig9",
-            40.0,
+            _trio(40.0, 100),
             _KERR,
             DampingSpec(DampingChannel.PHASE, 0.05),
             **entropy_kerr,
@@ -233,25 +212,43 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     )
 
     # --- cubic medium: nonclassical-area dynamics ---
+    # tomogram dumps of the 3-photon-added state at the gamma*t milestones
+    dumps = dict(
+        runs=[("photon_added", _added(5.0), 60)],
+        medium=_CUBIC,
+        t_end_over_trev=cubic_gamma_t,
+        steps=200,
+        products=_DUMPS,
+        tomograms_at=tuple(
+            _gamma_t_end_over_trev(gt, _DUMP_GAMMA, _CUBIC) for gt in _DUMP_GAMMA_T
+        ),
+    )
     add(
         "fig10",
         "Cubic, no damping: area vs t for the three states, |alpha|^2=5, dim=60",
-        _trio_runs("fig10", 5.0, _CUBIC, _NO_DAMPING, 60, 1.0, 500, _CSV_MINIMA),
+        _runs("fig10", _trio(5.0, 60), _CUBIC, _NO_DAMPING, 1.0, 500, _CSV_MINIMA),
     )
     add(
         "fig11",
         "Cubic, no damping: coherent-state area vs t for |alpha|^2=5,10",
-        _coherent_runs("fig11", _CUBIC, ((5.0, 60), (10.0, 70))),
+        _runs(
+            "fig11",
+            [("a5", _coherent(5.0), 60), ("a10", _coherent(10.0), 70)],
+            _CUBIC,
+            _NO_DAMPING,
+            1.0,
+            500,
+            _CSV,
+        ),
     )
     add(
         "fig12",
         "Cubic, amplitude damping gamma=0.1: area vs t, |alpha|^2=5, dim=60",
-        _trio_runs(
+        _runs(
             "fig12",
-            5.0,
+            _trio(5.0, 60),
             _CUBIC,
             DampingSpec(DampingChannel.AMPLITUDE, 0.1),
-            60,
             1.0,
             500,
             _CSV,
@@ -260,18 +257,17 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig13",
         "Cubic, amplitude damping: 3-photon-added tomogram dumps at gamma*t = 0.01, 0.1, 1, 10",
-        _dump_runs("fig13", DampingChannel.AMPLITUDE),
+        _runs("fig13", damping=DampingSpec(DampingChannel.AMPLITUDE, _DUMP_GAMMA), **dumps),
     )
     add(
         "fig14",
         "Cubic, amplitude damping: area vs gamma*t up to 10, |alpha|^2=3 (gamma=0.1)",
-        _trio_runs(
+        _runs(
             "fig14",
-            3.0,
+            _trio(3.0, 50),
             _CUBIC,
             DampingSpec(DampingChannel.AMPLITUDE, _DUMP_GAMMA),
-            50,
-            _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
+            cubic_gamma_t,
             200,
             _CSV,
         ),
@@ -279,12 +275,11 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig15",
         "Cubic, phase damping gamma=0.1: area vs t, |alpha|^2=5, dim=60",
-        _trio_runs(
+        _runs(
             "fig15",
-            5.0,
+            _trio(5.0, 60),
             _CUBIC,
             DampingSpec(DampingChannel.PHASE, 0.1),
-            60,
             1.0,
             500,
             _CSV,
@@ -293,36 +288,35 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig16",
         "Cubic, phase damping: 3-photon-added tomogram dumps at gamma*t = 0.01, 0.1, 1, 10",
-        _dump_runs("fig16", DampingChannel.PHASE),
+        _runs("fig16", damping=DampingSpec(DampingChannel.PHASE, _DUMP_GAMMA), **dumps),
     )
     add(
         "fig17",
         "Cubic, phase damping: area vs gamma*t up to 10, |alpha|^2=5 (gamma=0.1)",
-        _trio_runs(
+        _runs(
             "fig17",
-            5.0,
+            _trio(5.0, 50),
             _CUBIC,
             DampingSpec(DampingChannel.PHASE, _DUMP_GAMMA),
-            50,
-            _gamma_t_end_over_trev(10.0, _DUMP_GAMMA, _CUBIC),
+            cubic_gamma_t,
             200,
             _CSV,
         ),
     )
 
     # --- cubic medium: entropy-sum dynamics (cubic revival sits at T_rev/3) ---
-    entropy_cubic = dict(dim=70, t_end_over_trev=0.35, steps=500, products=_CSV_MINIMA)
+    entropy_cubic = dict(t_end_over_trev=0.35, steps=500, products=_CSV_MINIMA)
     add(
         "fig18",
         "Cubic, no damping: entropy sum vs t, |alpha|^2=5, dim=70",
-        _trio_runs("fig18", 5.0, _CUBIC, _NO_DAMPING, **entropy_cubic),
+        _runs("fig18", _trio(5.0, 70), _CUBIC, _NO_DAMPING, **entropy_cubic),
     )
     add(
         "fig19",
         "Cubic, amplitude damping gamma=0.05: entropy sum vs t, |alpha|^2=5, dim=70",
-        _trio_runs(
+        _runs(
             "fig19",
-            5.0,
+            _trio(5.0, 70),
             _CUBIC,
             DampingSpec(DampingChannel.AMPLITUDE, 0.05),
             **entropy_cubic,
@@ -331,9 +325,9 @@ def _build_catalog() -> dict[str, tuple[str, list[ExperimentConfig]]]:
     add(
         "fig20",
         "Cubic, phase damping gamma=0.05: entropy sum vs t, |alpha|^2=5, dim=70",
-        _trio_runs(
+        _runs(
             "fig20",
-            5.0,
+            _trio(5.0, 70),
             _CUBIC,
             DampingSpec(DampingChannel.PHASE, 0.05),
             **entropy_cubic,
@@ -349,18 +343,20 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
 
-def preset_description(name: str) -> str:
+def _entry(name: str) -> tuple[str, list[ExperimentConfig]]:
     if name not in _CATALOG:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(_CATALOG)}")
-    return _CATALOG[name][0]
+    return _CATALOG[name]
+
+
+def preset_description(name: str) -> str:
+    return _entry(name)[0]
 
 
 def preset_configs(name: str, out_dir: str | Path | None = None) -> tuple[ExperimentConfig, ...]:
     """The runs of a preset, with out_dir resolved (default nltomo_out/<name>)."""
-    if name not in _CATALOG:
-        raise ValidationError(f"unknown preset {name!r}; known: {', '.join(_CATALOG)}")
     base = Path(out_dir) if out_dir is not None else Path("nltomo_out") / name
-    return tuple(replace(cfg, out_dir=base) for cfg in _CATALOG[name][1])
+    return tuple(replace(cfg, out_dir=base) for cfg in _entry(name)[1])
 
 
 def run_preset(name: str, out_dir: str | Path | None = None) -> list[RunResult]:

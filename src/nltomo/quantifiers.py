@@ -27,8 +27,9 @@ same area to the last bit.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -265,28 +266,13 @@ class QuantifierRecord:
     trace: float
     purity: float
 
-    FIELDS = (
-        "t",
-        "t_over_trev",
-        "nonclassical_area",
-        "entropy_0",
-        "entropy_90",
-        "entropy_sum",
-        "trace",
-        "purity",
-    )
-
     def as_row(self) -> tuple[float, ...]:
-        return (
-            self.t,
-            self.t_over_trev,
-            self.nonclassical_area,
-            self.entropy_0,
-            self.entropy_90,
-            self.entropy_sum,
-            self.trace,
-            self.purity,
-        )
+        return _ROW(self)
+
+
+# the CSV columns, in field order
+QuantifierRecord.FIELDS = tuple(f.name for f in fields(QuantifierRecord))
+_ROW = operator.attrgetter(*QuantifierRecord.FIELDS)
 
 
 def compute_record(

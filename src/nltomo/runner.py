@@ -1,9 +1,9 @@
 """Configuration-driven experiment runner.
 
 Builds the initial state, sweeps the time grid in order, computes one
-:class:`~nltomo.quantifiers.QuantifierRecord` per sample, enforces the
-row invariants (trace and the entropic uncertainty bound), and
-writes the CSV / tomogram-dump / minima-report products.
+:class:`~nltomo.quantifiers.QuantifierRecord` per sample (which refuses
+a state whose trace drifts), enforces the entropic uncertainty bound on
+each row, and writes the CSV / tomogram-dump / minima-report products.
 
 Sweeps and tomogram dumps never form a state, whatever the channel: they
 take the coherence diagonals of up to 64 times at once from
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-6
-_TRACE_ROW_TOL = 1e-10
 _BOUND_ROW_TOL = 1e-6
 
 
@@ -90,10 +89,6 @@ def _resolve_window(cfg: ExperimentConfig, rho0: DensityMatrix) -> tuple[float, 
 
 
 def _check_row_invariants(rec: QuantifierRecord) -> None:
-    if abs(rec.trace - 1.0) > _TRACE_ROW_TOL:
-        raise NumericalInvariantError(
-            f"trace invariant violated at t={rec.t:.6g}: |trace-1|={abs(rec.trace - 1.0):.3e}"
-        )
     if rec.entropy_sum < ENTROPY_BOUND - _BOUND_ROW_TOL:
         raise NumericalInvariantError(
             f"entropy bound violated at t={rec.t:.6g}: "

@@ -25,9 +25,6 @@ __all__ = [
     "DensityMatrix",
     "InitialStateSpec",
     "LadderExpectations",
-    "coherent_coefficients",
-    "photon_added_coefficients",
-    "even_coherent_coefficients",
     "build_state",
     "density_from_pure",
     "first_refused_density",
@@ -238,96 +235,44 @@ class LadderExpectations(NamedTuple):
     n: float
 
 
-def _normalized_vector(log_weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Exponentiate relative log magnitudes and normalize.
+def build_state(spec: InitialStateSpec, dim: int) -> FockVector:
+    """Build the truncated, renormalized state selected by ``spec``.
 
-    Subtracting the running maximum keeps everything in range even when
-    the absolute normalization constant would overflow.
-    """
-    shifted = log_weights - np.max(log_weights[np.isfinite(log_weights)])
-    mags = np.exp(shifted)
-    amps = mags * phases
-    return amps / np.linalg.norm(amps)
+    One amplitude formula serves the three families.  With p added photons
+    (p = 0 for the coherent and even families) and k = n - p, the amplitude
+    of level n >= p is proportional to alpha^k sqrt(n!) / k!:
 
+    * coherent: C_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!);
+    * p-photon-added, a^dagger^p |alpha> normalized (Agarwal & Tara, PRA 43,
+      492 (1991)); amplitudes below n = p vanish;
+    * even coherent, (|alpha> + |-alpha>) normalized: the coherent pattern on
+      the even n, with exactly zero odd amplitudes.
 
-def coherent_coefficients(alpha: complex, dim: int) -> FockVector:
-    """Coherent state C_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), renormalized."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    alpha = complex(alpha)
-    n = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[0] = 1.0
-        return FockVector(dim, amps)
-    r = abs(alpha)
-    phase = np.exp(1j * np.angle(alpha) * n)
-    log_mag = n * np.log(r) - 0.5 * log_factorials(dim)
-    return FockVector(dim, _normalized_vector(log_mag, phase))
-
-
-def photon_added_coefficients(alpha: complex, p: int, dim: int) -> FockVector:
-    """p-photon-added coherent state, a^dagger^p |alpha> normalized.
-
-    For n >= p the amplitude is proportional to
-    alpha^{n-p} sqrt(n!) / (n-p)!; amplitudes below n = p vanish.  The
-    exact normalization constant is p! L_p(-|alpha|^2) with L_p the
-    Laguerre polynomial, but only relative weights are needed here since
-    the truncated vector is renormalized numerically.
+    Only relative weights are needed, since the truncated vector is
+    renormalized numerically; they are taken in log space and shifted by
+    their maximum, which keeps them in range even where the absolute
+    normalization would overflow.  alpha = 0 gives the Fock state |p>.
     """
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise ValidationError(f"p must be an integer >= 1, got {p!r}")
+    p = spec.p
     if p >= dim:
         raise ValidationError(f"p={p} needs dim > p, got dim={dim}")
-    alpha = complex(alpha)
-    n = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[p] = 1.0  # adding p photons to vacuum gives the Fock state |p>
+    amps = np.zeros(dim, dtype=np.complex128)
+    if spec.alpha == 0:
+        amps[p] = 1.0
         return FockVector(dim, amps)
-    r = abs(alpha)
+    n = np.arange(p, dim, 2 if spec.kind is StateKind.EVEN_COHERENT else 1)
     k = n - p
-    log_mag = np.full(dim, -np.inf)
-    valid = n >= p
+    log_r = np.log(abs(spec.alpha))
     log_fact = log_factorials(dim)
-    log_mag[valid] = (
-        k[valid] * np.log(r) + 0.5 * log_fact[n[valid]] - log_fact[k[valid]]
-    )
-    phases = np.where(valid, np.exp(1j * np.angle(alpha) * np.where(valid, k, 0)), 0.0)
-    return FockVector(dim, _normalized_vector(log_mag, phases))
-
-
-def even_coherent_coefficients(alpha: complex, dim: int) -> FockVector:
-    """Even coherent state, (|alpha> + |-alpha>) normalized.
-
-    Odd Fock amplitudes are exactly zero; even ones follow the coherent
-    pattern with normalization N_+ = [2(1 + e^{-2|alpha|^2})]^{-1/2}.
-    """
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    alpha = complex(alpha)
-    n = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[0] = 1.0
-        return FockVector(dim, amps)
-    r = abs(alpha)
-    log_mag = np.where(n % 2 == 0, n * np.log(r) - 0.5 * log_factorials(dim), -np.inf)
-    phases = np.where(n % 2 == 0, np.exp(1j * np.angle(alpha) * n), 0.0)
-    return FockVector(dim, _normalized_vector(log_mag, phases))
-
-
-def build_state(spec: InitialStateSpec, dim: int) -> FockVector:
-    """Build the truncated, renormalized state selected by ``spec``."""
-    if spec.kind is StateKind.COHERENT:
-        return coherent_coefficients(spec.alpha, dim)
-    if spec.kind is StateKind.PHOTON_ADDED:
-        return photon_added_coefficients(spec.alpha, spec.p, dim)
-    if spec.kind is StateKind.EVEN_COHERENT:
-        return even_coherent_coefficients(spec.alpha, dim)
-    raise ValidationError(f"unknown state kind {spec.kind!r}")
+    if p == 0:
+        # the coherent form: the general one rounds differently, which moves catalog minima
+        log_w = k * log_r - 0.5 * log_fact[n]
+    else:
+        log_w = k * log_r + 0.5 * log_fact[n] - log_fact[k]
+    amps[n] = np.exp(log_w - np.max(log_w)) * np.exp(1j * np.angle(spec.alpha) * k)
+    return FockVector(dim, amps / np.linalg.norm(amps))
 
 
 def density_from_pure(state: FockVector) -> DensityMatrix:

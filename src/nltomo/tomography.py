@@ -266,8 +266,9 @@ def tomograms_of_diagonals(
     (J, n_x), built for each diagonal alone.  On at most two phases, each
     diagonal's rotated real parts, (n_theta T, J), multiply G_d.  On more, the
     basis is contracted first, H_d = [Re x_d; Im x_d] G_d, (2, T, n_x), and
-    [c_d cos d theta, c_d sin d theta] H_d is added.  Returns values[i, k, j] =
-    omega_k(x_j, theta_i), unchecked: see :func:`check_tomograms`.
+    [c_d cos d theta, c_d sin d theta] H_d is added; each order is the faster
+    one on its side.  Returns values[i, k, j] = omega_k(x_j, theta_i),
+    unchecked: see :func:`check_tomograms`.
     """
     out = None
     for d, x_d in enumerate(diagonals):
@@ -279,8 +280,9 @@ def tomograms_of_diagonals(
         weight = 1.0 if d == 0 else 2.0
         basis = (psi[:, d:] * psi[:, : dim - d]).T
         if grid.n_theta <= 2:
-            # rotate first, with math.cos, to keep the sweeps' values bit for bit: a mirror-
-            # symmetric unitary series has twin minima that print alike; references record one
+            # rotate first, with math.cos, for two reasons: it is the faster order on two phases,
+            # and it keeps the sweeps' values bit for bit (a mirror-symmetric unitary series has
+            # twin minima that print alike; the references record one, which contract-first moves)
             cos, sin = ([weight * f(d * th) for th in grid.thetas] for f in (math.cos, math.sin))
             rotated = np.multiply.outer(cos, x_d.real) + np.multiply.outer(sin, x_d.imag)
             out += (rotated.reshape(-1, dim - d) @ basis).reshape(out.shape)

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from nltomo.errors import ValidationError
 from nltomo.evolve import DampingChannel, _from_blocks, coherence_diagonals
 from nltomo.presets import preset_names, run_preset
-from nltomo.states import DensityMatrix
+from nltomo.states import DensityMatrix, StateKind, log_factorials
 from nltomo.tomography import hermite_basis
 
 
@@ -64,6 +64,37 @@ def evolved_states(rho0, medium, damping, times):
         for _, diagonals in coherence_diagonals(rho0, medium, damping, times)
         for row in np.concatenate(list(diagonals), axis=1)
     )
+
+
+def family_amplitudes(kind, alpha, p, dim):
+    """Amplitudes of a state family by its own formula, as each family was once built.
+
+    The coherent, photon-added and even coherent expressions are kept
+    separate here, each with its own operation order, so that the one
+    formula of ``build_state`` can be pinned to them bit for bit.
+    """
+    alpha = complex(alpha)
+    n = np.arange(dim)
+    if alpha == 0:
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[p] = 1.0
+        return amps
+    r = abs(alpha)
+    if kind is StateKind.COHERENT:
+        phases = np.exp(1j * np.angle(alpha) * n)
+        log_mag = n * np.log(r) - 0.5 * log_factorials(dim)
+    elif kind is StateKind.PHOTON_ADDED:
+        k = n - p
+        log_mag = np.full(dim, -np.inf)
+        valid = n >= p
+        log_fact = log_factorials(dim)
+        log_mag[valid] = k[valid] * np.log(r) + 0.5 * log_fact[n[valid]] - log_fact[k[valid]]
+        phases = np.where(valid, np.exp(1j * np.angle(alpha) * np.where(valid, k, 0)), 0.0)
+    else:
+        log_mag = np.where(n % 2 == 0, n * np.log(r) - 0.5 * log_factorials(dim), -np.inf)
+        phases = np.where(n % 2 == 0, np.exp(1j * np.angle(alpha) * n), 0.0)
+    amps = np.exp(log_mag - np.max(log_mag[np.isfinite(log_mag)])) * phases
+    return amps / np.linalg.norm(amps)
 
 
 def laguerre_value(p, x):

@@ -457,6 +457,29 @@ def test_propagator_time_validation():
     assert np.max(np.abs(fwd.elements - rho0.elements)) < 1e-14
 
 
+def test_unitary_propagation_is_undamped_dephasing_bit_for_bit(rng):
+    # both run one elementwise body; gamma = 0 must leave the unitary factor
+    # e^{-i chi [f(n)-f(m)] t} as that one term gives it, and only the
+    # unitary propagator runs backwards
+    for _ in range(60):
+        medium = (KERR, CUBIC)[rng.integers(2)]
+        dim = int(rng.integers(2, 111))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        rho0 = density_from_pure(FockVector(dim, psi / np.linalg.norm(psi)))
+        t = float(rng.uniform(0.0, 2.0))
+        phi = medium.phase_exponents(dim)
+        for s in (t, -t):
+            one_term = rho0.elements * np.exp(-1j * medium.chi * (phi[:, None] - phi[None, :]) * s)
+            unitary = propagate_unitary(rho0, medium, s).elements
+            assert np.array_equal(unitary.view(np.float64), one_term.view(np.float64))
+        dephased = propagate_phase_damping(rho0, medium, 0.0, t).elements
+        assert np.array_equal(
+            propagate_unitary(rho0, medium, t).elements.view(np.float64), dephased.view(np.float64)
+        )
+        with pytest.raises(ValidationError, match="time must be >= 0"):
+            propagate_phase_damping(rho0, medium, 0.0, -t - 1e-3)
+
+
 @pytest.mark.parametrize(
     "damping",
     [NO_DAMP, DampingSpec(DampingChannel.PHASE, 0.3), DampingSpec(DampingChannel.AMPLITUDE, 0.3)],

@@ -572,6 +572,35 @@ def test_dump_only_run_on_a_tight_window_warns_and_exits_3(tmp_path, capsys, cha
     assert str(refused.value) in capsys.readouterr().err
 
 
+BELOW_ENTROPY_BOUND_TEXT = """\
+state.kind = coherent
+state.alpha_sq = 40
+state.delta = 0.7853981633974483
+medium.kind = kerr
+sim.dim = 100
+sim.steps = 2
+grid.x_max = 10
+grid.n_x = 200
+"""
+
+
+def test_a_row_below_the_entropy_bound_warns_then_exits_3(tmp_path, capsys):
+    # the window leaves ~1e-7 of each slice off the grid: warned, not refused,
+    # but the tails it cuts off take the windowed entropy sum below 1 + ln(pi)
+    path = tmp_path / "cut.cfg"
+    path.write_text(BELOW_ENTROPY_BOUND_TEXT + f"out.dir = {tmp_path / 'out'}\n")
+    want = "entropy bound violated at t=0: S_sum=2.14472672868 < 2.14472988585 - 1e-6"
+    with pytest.warns(RuntimeWarning, match="off-grid") as caught:
+        with pytest.raises(NumericalInvariantError) as refused:
+            run_experiment(config_from_file(path))
+    assert str(refused.value) == want
+    assert sum("off-grid" in str(w.message) for w in caught) == 2
+    with pytest.warns(RuntimeWarning, match="off-grid"):
+        assert main(["run", str(path)]) == EXIT_INVARIANT
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dumps_before_a_refused_time_are_written(tmp_path, monkeypatch):
     # by t = 100 T_rev amplitude damping has shrunk the state into the window
     # that cuts it at t = 0; the dump of the first time is still written
@@ -709,6 +738,17 @@ def test_preset_catalog():
         assert preset_description(name)
     with pytest.raises(ValidationError, match="unknown preset"):
         preset_description("fig21")
+    with pytest.raises(ValidationError, match="unknown preset 'fig21'; known: fig1, fig2"):
+        preset_configs("fig21")
+
+
+def test_readme_preset_table_matches_the_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(fig\d+)` \| (.+) \|$", readme, re.M)
+    assert [name for name, _ in rows] == list(preset_names())
+    for name, text in rows:
+        plain = text.replace("\\|", "|").replace("²", "^2").replace("·", "*")
+        assert plain == preset_description(name), name
 
 
 def test_preset_configs_resolution(tmp_path):

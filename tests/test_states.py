@@ -11,22 +11,31 @@ from nltomo.states import (
     InitialStateSpec,
     StateKind,
     build_state,
-    coherent_coefficients,
     density_from_pure,
-    even_coherent_coefficients,
     ladder_expectations,
     log_factorials,
-    photon_added_coefficients,
     tail_mass,
 )
 
-from conftest import laguerre_value
+from conftest import family_amplitudes, laguerre_value
+
+
+def coherent(alpha, dim):
+    return build_state(InitialStateSpec(StateKind.COHERENT, alpha), dim)
+
+
+def photon_added(alpha, p, dim):
+    return build_state(InitialStateSpec(StateKind.PHOTON_ADDED, alpha, p), dim)
+
+
+def even_coherent(alpha, dim):
+    return build_state(InitialStateSpec(StateKind.EVEN_COHERENT, alpha), dim)
 
 
 def test_coherent_matches_direct_formula():
     alpha = 1.2 - 0.7j
     dim = 25
-    state = coherent_coefficients(alpha, dim)
+    state = coherent(alpha, dim)
     direct = np.array(
         [
             math.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n))
@@ -49,9 +58,9 @@ def test_log_factorials_equal_gammaln_bit_for_bit():
 
 def test_builders_are_normalized():
     for state in (
-        coherent_coefficients(math.sqrt(20), 90),
-        photon_added_coefficients(math.sqrt(40) * np.exp(0.25j * math.pi), 3, 110),
-        even_coherent_coefficients(math.sqrt(40), 100),
+        coherent(math.sqrt(20), 90),
+        photon_added(math.sqrt(40) * np.exp(0.25j * math.pi), 3, 110),
+        even_coherent(math.sqrt(40), 100),
     ):
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
@@ -60,7 +69,7 @@ def test_builders_are_normalized():
 def test_photon_added_base_amplitude_closed_form(alpha_sq, p):
     # |C_p|^2 = e^{-|alpha|^2} / L_p(-|alpha|^2); for alpha_sq=1, p=1
     # this is e^{-1}/2
-    state = photon_added_coefficients(math.sqrt(alpha_sq), p, 60)
+    state = photon_added(math.sqrt(alpha_sq), p, 60)
     expected = math.exp(-alpha_sq) / laguerre_value(p, -alpha_sq)
     assert abs(abs(state.amplitudes[p]) ** 2 - expected) < 1e-13
     assert np.max(np.abs(state.amplitudes[:p])) == 0.0
@@ -68,7 +77,7 @@ def test_photon_added_base_amplitude_closed_form(alpha_sq, p):
 
 def test_photon_added_mean_photon_number_laguerre_identity():
     alpha_sq, p, dim = 5.0, 3, 60
-    rho = density_from_pure(photon_added_coefficients(math.sqrt(alpha_sq), p, dim))
+    rho = density_from_pure(photon_added(math.sqrt(alpha_sq), p, dim))
     mom = ladder_expectations(rho)
     expected = (p + 1) * laguerre_value(p + 1, -alpha_sq) / laguerre_value(p, -alpha_sq) - 1.0
     assert abs(mom.n - expected) < 1e-10
@@ -76,7 +85,7 @@ def test_photon_added_mean_photon_number_laguerre_identity():
 
 def test_even_coherent_structure():
     alpha = math.sqrt(10.0)
-    state = even_coherent_coefficients(alpha, 60)
+    state = even_coherent(alpha, 60)
     assert np.max(np.abs(state.amplitudes[1::2])) == 0.0
     rho = density_from_pure(state)
     mom = ladder_expectations(rho)
@@ -89,7 +98,7 @@ def test_even_coherent_structure():
 def test_even_coherent_base_normalization_constant():
     # |C_0|^2 = e^{-|alpha|^2} / [2 (1 + e^{-2|alpha|^2})] * 4
     alpha_sq = 3.0
-    state = even_coherent_coefficients(math.sqrt(alpha_sq), 50)
+    state = even_coherent(math.sqrt(alpha_sq), 50)
     n_plus_sq = 1.0 / (2.0 * (1.0 + math.exp(-2.0 * alpha_sq)))
     expected_c0_sq = 4.0 * n_plus_sq * math.exp(-alpha_sq)
     assert abs(abs(state.amplitudes[0]) ** 2 - expected_c0_sq) < 1e-13
@@ -97,7 +106,7 @@ def test_even_coherent_base_normalization_constant():
 
 def test_coherent_ladder_expectations():
     alpha = math.sqrt(10.0) * np.exp(0.25j * math.pi)
-    rho = density_from_pure(coherent_coefficients(alpha, 60))
+    rho = density_from_pure(coherent(alpha, 60))
     mom = ladder_expectations(rho)
     assert abs(mom.a - alpha) < 1e-10
     assert abs(mom.a_squared - alpha**2) < 1e-9
@@ -116,14 +125,35 @@ def test_ladder_expectations_below_dim_three(amps, expected):
 
 
 def test_vacuum_limits():
-    vac = coherent_coefficients(0.0, 10)
+    vac = coherent(0.0, 10)
     assert vac.amplitudes[0] == 1.0
     assert np.max(np.abs(vac.amplitudes[1:])) == 0.0
-    fock_p = photon_added_coefficients(0.0, 3, 10)
+    fock_p = photon_added(0.0, 3, 10)
     assert fock_p.amplitudes[3] == 1.0
     assert tail_mass(fock_p, 4) == 0.0
-    even_vac = even_coherent_coefficients(0.0, 10)
+    even_vac = even_coherent(0.0, 10)
     assert even_vac.amplitudes[0] == 1.0
+
+
+def test_build_state_equals_each_family_formula_bit_for_bit(rng):
+    # one formula for the three families, against each family's own
+    # expression; |alpha|^2 up to 45, alpha = 0, both parities of dim, p = 1..4
+    for _ in range(600):
+        kind = list(StateKind)[rng.integers(3)]
+        p = int(rng.integers(1, 5)) if kind is StateKind.PHOTON_ADDED else 0
+        dim = int(rng.integers(p + 1, 141))
+        alpha_sq = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 45.0)
+        alpha = math.sqrt(alpha_sq) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        got = build_state(InitialStateSpec(kind, alpha, p), dim).amplitudes
+        want = family_amplitudes(kind, alpha, p, dim)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), (kind, alpha, p, dim)
+
+
+def test_build_state_refuses_a_dim_that_cannot_hold_the_state():
+    with pytest.raises(ValidationError, match="dim must be >= 1, got 0"):
+        coherent(1.0, 0)
+    with pytest.raises(ValidationError, match="p=3 needs dim > p, got dim=3"):
+        photon_added(1.0, 3, 3)
 
 
 def test_build_state_dispatch():
@@ -172,13 +202,13 @@ def test_density_matrix_validation():
 
 
 def test_density_from_pure_is_projector():
-    rho = density_from_pure(coherent_coefficients(1.5, 30))
+    rho = density_from_pure(coherent(1.5, 30))
     assert abs(rho.trace() - 1.0) < 1e-12
     assert abs(rho.purity() - 1.0) < 1e-12
 
 
 def test_tail_mass():
-    state = coherent_coefficients(math.sqrt(5.0), 40)
+    state = coherent(math.sqrt(5.0), 40)
     assert tail_mass(state, 0) == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(state, 35) < 1e-12
     assert tail_mass(state, 100) == 0.0
@@ -187,7 +217,7 @@ def test_tail_mass():
     with pytest.raises(ValidationError):
         tail_mass(state, -1)
     # the strongest field the presets use still fits comfortably in dim=100
-    assert tail_mass(coherent_coefficients(math.sqrt(40.0), 100), 90) < 1e-8
+    assert tail_mass(coherent(math.sqrt(40.0), 100), 90) < 1e-8
 
 
 def test_laguerre_recurrence_against_explicit_polynomials():
