@@ -16,12 +16,12 @@ in the truncated basis, used for sweeps) and a tomographic route that
 integrates the quadrature histograms (used to cross-check the tomogram
 pipeline itself).  The entropy sum has only the tomographic route.
 
-:func:`compute_record` gives one CSV row for one density matrix, the
-per-state reference.  A sweep calls :func:`records_of_diagonals`
-instead, which computes the rows of a batch of times from the coherence
-diagonals, all times at once, with the same checks state by state and
-the same moment sums (``states._ladder_moments``), so the two give the
-same area to the last bit.
+Every record is computed one way, by :func:`records_of_diagonals`,
+which takes the coherence diagonals of a batch of T times and computes
+the rows of all of them at once.  :func:`compute_record` is that
+function at T = 1: a state gives the row a sweep gives it, with the
+area to the last bit and the entropies to round-off (the tomogram's
+matrix products round with T).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import NumericalInvariantError, ValidationError
 from .states import DensityMatrix, _ladder_moments, first_refused_density, ladder_expectations
 from .tomography import (
-    QuadratureGrid,
     Tomogram,
     check_tomograms,
     conjugate_thetas,
@@ -51,11 +50,8 @@ __all__ = [
     "ENTROPY_BOUND",
     "COHERENT_AREA_BASELINE",
     "QuantifierRecord",
-    "quadrature_mean_variance",
-    "variance_profile_from_tomogram",
     "nonclassical_area",
     "tomographic_entropy",
-    "entropy_pair",
     "entropy_sum",
     "find_local_minima",
     "compute_record",
@@ -71,26 +67,14 @@ COHERENT_AREA_BASELINE = math.sqrt(2.0) * math.pi
 _ENTROPY_FLOOR = 1e-30
 
 
-def quadrature_mean_variance(
-    rho: DensityMatrix, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of X_theta from ladder-operator moments.
+def _moment_mean_variance(a, a_squared, n, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of X_theta, shape (..., n_theta), from <a>, <a^2>
+    and <N> given as scalars or as arrays over states.
 
     With X_theta = (a e^{-i theta} + a^dag e^{i theta}) / sqrt(2):
         <X_theta>   = sqrt(2) Re(e^{-i theta} <a>)
         <X_theta^2> = <N> + 1/2 + Re(e^{-2i theta} <a^2>)
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    mean, var = _moment_mean_variance(*ladder_expectations(rho), thetas)
-    bad = float(var.min())
-    if bad <= 0.0:
-        raise _variance_error(bad)
-    return mean, var
-
-
-def _moment_mean_variance(a, a_squared, n, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of X_theta, shape (..., n_theta), from <a>, <a^2>
-    and <N> given as scalars or as arrays over states."""
     phase = np.exp(-1j * thetas)
     mean = math.sqrt(2.0) * np.real(np.multiply.outer(a, phase))
     second = np.asarray(n + 0.5)[..., None] + np.real(np.multiply.outer(a_squared, phase * phase))
@@ -108,29 +92,13 @@ def _area(var: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * np.mean(np.sqrt(var), axis=-1) - COHERENT_AREA_BASELINE
 
 
-def variance_profile_from_tomogram(tomo: Tomogram) -> np.ndarray:
-    """Var X_theta for every slice of a tomogram."""
-    x = tomo.grid.x
-    m1 = np.trapezoid(tomo.values * x[None, :], x, axis=1)
-    m2 = np.trapezoid(tomo.values * (x**2)[None, :], x, axis=1)
-    var = m2 - m1**2
-    bad = float(var.min())
-    if bad <= 0.0:
-        raise NumericalInvariantError(
-            f"non-positive tomographic variance {bad:.3e}"
-        )
-    return var
-
-
-def _window_grid(
-    rho: DensityMatrix, thetas: tuple[float, ...], x_window: tuple[float, int] | None
-) -> QuadratureGrid:
-    """n_x points on [-x_max, x_max] for x_window = (x_max, n_x), or the
+def _window(rho: DensityMatrix, x_window: tuple[float, int] | None) -> tuple[float, int]:
+    """x_window = (x_max, n_x), n_x points on [-x_max, x_max], or the
     window that ``suggested_grid`` sizes from <N> when x_window is None."""
-    if x_window is None:
-        return suggested_grid(ladder_expectations(rho).n, thetas)
-    x_max, n_x = x_window
-    return symmetric_grid(x_max, int(n_x), thetas)
+    if x_window is not None:
+        return (x_window[0], int(x_window[1]))
+    grid = suggested_grid(ladder_expectations(rho).n, (0.0,))
+    return (grid.x_max, grid.n_x)
 
 
 def nonclassical_area(
@@ -150,12 +118,18 @@ def nonclassical_area(
     """
     thetas = np.asarray(uniform_thetas(theta_count))
     if method == "analytic":
-        _, var = quadrature_mean_variance(rho, thetas)
+        _, var = _moment_mean_variance(*ladder_expectations(rho), thetas)
     elif method == "tomographic":
-        grid = _window_grid(rho, tuple(thetas), x_window)
-        var = variance_profile_from_tomogram(tomogram_of_density(rho, grid))
+        tomo = tomogram_of_density(rho, symmetric_grid(*_window(rho, x_window), tuple(thetas)))
+        x = tomo.grid.x
+        m1 = np.trapezoid(tomo.values * x[None, :], x, axis=1)
+        m2 = np.trapezoid(tomo.values * (x**2)[None, :], x, axis=1)
+        var = m2 - m1**2
     else:
         raise ValidationError(f"method must be 'analytic' or 'tomographic', got {method!r}")
+    bad = float(var.min())
+    if bad <= 0.0:
+        raise _variance_error(bad)
     return float(_area(var))
 
 
@@ -178,45 +152,23 @@ def tomographic_entropy(tomo: Tomogram, theta_index: int) -> float:
     return float(_slice_entropy(tomo.values[theta_index], tomo.grid.x))
 
 
-def entropy_pair(
-    rho: DensityMatrix,
-    theta: float = 0.0,
-    x_window: tuple[float, int] | None = None,
-) -> tuple[float, float]:
-    """(S(theta), S(theta + pi/2)) from a two-slice tomogram.
-
-    Each entry is the trapezoid integral of -omega ln omega over the
-    quadrature window: the one sized from <N> by ``suggested_grid``, or
-    ``x_window = (x_max, n_x)``, i.e. n_x points on [-x_max, x_max].
-    Apart from the trapezoid error, the result falls short of the
-    full-line entropy by the entropy of the tails outside the window, which on the default window is
-    negligible.  A window that leaves more than 1e-8 of a slice's mass
-    off the grid raises the ``off-grid`` RuntimeWarning; more than 1e-4
-    raises NumericalInvariantError.
-    """
-    pair = conjugate_thetas(theta)
-    ordered = tuple(sorted(pair))
-    tomo = tomogram_of_density(rho, _window_grid(rho, ordered, x_window))
-    s_by_theta = {
-        th: tomographic_entropy(tomo, i) for i, th in enumerate(ordered)
-    }
-    return s_by_theta[pair[0]], s_by_theta[pair[1]]
-
-
 def entropy_sum(
     rho: DensityMatrix,
     theta: float = 0.0,
     x_window: tuple[float, int] | None = None,
 ) -> float:
-    """S(theta) + S(theta + pi/2), integrated over the window as in entropy_pair.
+    """S(theta) + S(theta + pi/2), each the trapezoid integral of -omega ln
+    omega over one slice of a two-slice tomogram, on ``x_window = (x_max,
+    n_x)`` (n_x points on [-x_max, x_max]) or the window sized from <N>.
 
-    The full-line sum is bounded below by ENTROPY_BOUND.  The windowed
-    integral returned here falls short of it by the entropy of the tails
-    cut off, so on a tight explicit ``x_window`` (the case flagged by the
-    ``off-grid`` RuntimeWarning) it can dip below ENTROPY_BOUND.
+    The full-line sum is bounded below by ENTROPY_BOUND.  The windowed sum
+    falls short of it by the entropy of the tails cut off, so it can dip
+    below the bound on a tight window, which the ``off-grid`` RuntimeWarning
+    of :func:`check_tomograms` flags.
     """
-    s0, s1 = entropy_pair(rho, theta, x_window)
-    return s0 + s1
+    thetas = tuple(sorted(conjugate_thetas(theta)))
+    tomo = tomogram_of_density(rho, symmetric_grid(*_window(rho, x_window), thetas))
+    return tomographic_entropy(tomo, 0) + tomographic_entropy(tomo, 1)
 
 
 def find_local_minima(
@@ -282,24 +234,15 @@ def compute_record(
     theta_count: int = 128,
     x_window: tuple[float, int] | None = None,
 ) -> QuantifierRecord:
-    """All per-time quantifiers for one state.
-
-    The area uses the analytic moment route (exact in the truncated
-    basis); the entropies integrate a two-slice tomogram at theta = 0
-    and pi/2 on the given window (or one sized from <N>).
-    """
-    area = nonclassical_area(rho, theta_count=theta_count, method="analytic")
-    s0, s90 = entropy_pair(rho, 0.0, x_window)
-    return QuantifierRecord(
-        t=float(t),
-        t_over_trev=float(t / t_rev),
-        nonclassical_area=area,
-        entropy_0=s0,
-        entropy_90=s90,
-        entropy_sum=s0 + s90,
-        trace=rho.trace(),
-        purity=rho.purity(),
-    )
+    """The record of one state: :func:`records_of_diagonals` at T = 1, on
+    the given window (or the one sized from <N>)."""
+    return records_of_diagonals(
+        np.array([float(t)]),
+        (rho.elements.diagonal(-d)[None] for d in range(rho.dim)),
+        t_rev,
+        theta_count,
+        _window(rho, x_window),
+    )[0]
 
 
 def records_of_diagonals(
@@ -309,7 +252,7 @@ def records_of_diagonals(
     theta_count: int,
     x_window: tuple[float, int],
 ) -> list[QuantifierRecord]:
-    """:func:`compute_record` for T states given by their coherence diagonals.
+    """The quantifier records of T states given by their coherence diagonals.
 
     ``diagonals`` yields x_d = rho_{j+d, j} at ``times`` as (T, dim - d)
     arrays for d = 0, 1, ..., dim - 1, as
@@ -317,11 +260,14 @@ def records_of_diagonals(
     builds the two-slice tomograms (:func:`tomograms_of_diagonals`) and
     the moments: the trace and <N> from d = 0, <a> from d = 1, <a^2> from
     d = 2, and the purity sum_d c_d |x_d|^2 with c_0 = 1, c_d = 2.  The
-    area and the entropies then follow for all T states at once.  Every
-    state is checked as :class:`DensityMatrix`, :func:`nonclassical_area`
-    and :func:`entropy_pair` check it, in that order, state by state: the
-    first failing check raises, after the ``off-grid`` warnings of the
-    states before it.
+    area (``theta_count`` phases) and the entropies at theta = 0 and pi/2
+    (on ``x_window = (x_max, n_x)``) then follow for all T states at once.
+
+    The states are checked one at a time: the density matrix (finite, trace
+    within 1e-10 of 1), then a positive quadrature variance at every phase,
+    then the tomogram (:func:`check_tomograms`).  The first failing check
+    raises, after the ``off-grid`` warnings of the states before it.
+    :func:`compute_record` is this function at T = 1.
     """
     T = times.size
     finite = np.ones(T, dtype=bool)

@@ -12,7 +12,9 @@ records together (:func:`~nltomo.quantifiers.records_of_diagonals`) while
 a dump passes them through the same tomogram kernel on its 128-phase grid.
 The convergence sweep computes the records of its probe times the same
 way at each dim, and the oracle compares the diagonals with dense
-references.  Outputs are deterministic.
+references.  There is no second record path: the per-state
+:func:`~nltomo.quantifiers.compute_record` is the same batch code at
+T = 1.  Outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ from .quantifiers import (
     ENTROPY_BOUND,
     QuantifierRecord,
     find_local_minima,
+    _window,
     records_of_diagonals,
 )
-from .states import (
-    DensityMatrix, density_from_pure, first_refused_density, ladder_expectations, tail_mass
-)
+from .states import DensityMatrix, density_from_pure, first_refused_density, tail_mass
 from .tomography import (
-    Tomogram, check_tomograms, suggested_grid, symmetric_grid, tomograms_of_diagonals,
-    uniform_thetas,
+    Tomogram, check_tomograms, symmetric_grid, tomograms_of_diagonals, uniform_thetas
 )
 
 __all__ = [
@@ -81,11 +81,8 @@ def _records(
 
 
 def _resolve_window(cfg: ExperimentConfig, rho0: DensityMatrix) -> tuple[float, int]:
-    if cfg.x_max is not None:
-        return (cfg.x_max, cfg.n_x)
     # <N> never grows under these channels, so the t=0 window covers the sweep
-    grid = suggested_grid(ladder_expectations(rho0).n, (0.0,))
-    return (grid.x_max, grid.n_x)
+    return _window(rho0, None if cfg.x_max is None else (cfg.x_max, cfg.n_x))
 
 
 def _check_row_invariants(rec: QuantifierRecord) -> None:

@@ -15,15 +15,13 @@ from nltomo.evolve import (
 from nltomo.quantifiers import (
     COHERENT_AREA_BASELINE,
     ENTROPY_BOUND,
+    _moment_mean_variance,
     compute_record,
-    entropy_pair,
     entropy_sum,
     find_local_minima,
     nonclassical_area,
-    quadrature_mean_variance,
     records_of_diagonals,
     tomographic_entropy,
-    variance_profile_from_tomogram,
 )
 from nltomo.states import (
     DensityMatrix,
@@ -31,10 +29,11 @@ from nltomo.states import (
     InitialStateSpec,
     StateKind,
     density_from_pure,
+    ladder_expectations,
 )
 from nltomo.tomography import QuadratureGrid, symmetric_grid, tomogram_of_density, uniform_thetas
 
-from conftest import quadrature_moments_from_tomogram
+from conftest import dense_tomogram, quadrature_moments_from_tomogram
 
 # reference values below were frozen from independent adaptive-quadrature
 # and refined-grid computations before this module was written
@@ -57,7 +56,7 @@ def even_rho(alpha, dim):
 def test_coherent_variance_is_half_everywhere():
     rho = coherent_rho(math.sqrt(7.0) * np.exp(0.3j), 60)
     thetas = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
-    mean, var = quadrature_mean_variance(rho, thetas)
+    mean, var = _moment_mean_variance(*ladder_expectations(rho), thetas)
     expected_mean = math.sqrt(14.0) * np.cos(0.3 - thetas)
     assert np.max(np.abs(mean - expected_mean)) < 1e-9
     assert np.max(np.abs(var - 0.5)) < 1e-9
@@ -69,14 +68,12 @@ def test_tomographic_moments_match_analytic():
     thetas = (0.0, 1.1)
     grid = symmetric_grid(10.0, 401, thetas)
     tomo = tomogram_of_density(rho, grid)
-    mean, var = quadrature_mean_variance(rho, np.asarray(thetas))
+    mean, var = _moment_mean_variance(*ladder_expectations(rho), np.asarray(thetas))
     for i in range(2):
         m1 = quadrature_moments_from_tomogram(tomo, i, 1)
         m2 = quadrature_moments_from_tomogram(tomo, i, 2)
         assert abs(m1 - mean[i]) < 1e-9
         assert abs((m2 - m1**2) - var[i]) < 1e-9
-    prof = variance_profile_from_tomogram(tomo)
-    assert np.max(np.abs(prof - var)) < 1e-9
     with pytest.raises(ValidationError):
         quadrature_moments_from_tomogram(tomo, 0, -1)
 
@@ -135,7 +132,8 @@ def test_coherent_entropy_pair_saturates_bound():
     rho = coherent_rho(math.sqrt(2.0), 30)
     s = entropy_sum(rho, 0.0, (10.0, 400))
     assert abs(s - ENTROPY_BOUND) < 1e-9
-    s0, s90 = entropy_pair(rho, 0.0, (10.0, 400))
+    rec = compute_record(rho, 0.0, 1.0, x_window=(10.0, 400))
+    s0, s90 = rec.entropy_0, rec.entropy_90
     half = 0.5 * (1.0 + math.log(math.pi))
     assert abs(s0 - half) < 1e-9
     assert abs(s90 - half) < 1e-9
@@ -144,7 +142,8 @@ def test_coherent_entropy_pair_saturates_bound():
 def test_even40_entropy_sum_frozen_value():
     alpha = math.sqrt(40.0) * np.exp(0.25j * math.pi)
     rho = even_rho(alpha, 100)
-    s0, s90 = entropy_pair(rho, 0.0, (13.5, 271))
+    rec = compute_record(rho, 0.0, 1.0, x_window=(13.5, 271))
+    s0, s90 = rec.entropy_0, rec.entropy_90
     assert abs((s0 + s90) - EVEN40_ENTROPY_SUM) < 1e-8
     # delta = pi/4 makes the two conjugate slices mirror images
     assert abs(s0 - s90) < 1e-9
@@ -242,13 +241,14 @@ def test_compute_record_consistency():
     rec = compute_record(rho, t=0.1, t_rev=0.4, theta_count=128, x_window=(10.0, 200))
     assert rec.t == pytest.approx(0.1)
     assert rec.t_over_trev == pytest.approx(0.25)
-    assert rec.nonclassical_area == pytest.approx(
-        nonclassical_area(rho, 128, "analytic"), abs=1e-14
-    )
-    s0, s90 = entropy_pair(rho, 0.0, (10.0, 200))
-    assert rec.entropy_0 == pytest.approx(s0, abs=1e-14)
-    assert rec.entropy_90 == pytest.approx(s90, abs=1e-14)
-    assert rec.entropy_sum == pytest.approx(s0 + s90, abs=1e-14)
+    # one record path: the per-state functions give the same bits
+    assert rec.nonclassical_area == nonclassical_area(rho, 128)
+    assert rec.entropy_sum == entropy_sum(rho, 0.0, (10.0, 200))
+    # each slice on its own: for real alpha S(0) != S(pi/2), so a swap shows
+    tomo = tomogram_of_density(rho, symmetric_grid(10.0, 200, (0.0, math.pi / 2)))
+    assert rec.entropy_0 == tomographic_entropy(tomo, 0)
+    assert rec.entropy_90 == tomographic_entropy(tomo, 1)
+    assert abs(rec.entropy_0 - rec.entropy_90) > 1e-3
     assert rec.trace == pytest.approx(1.0, abs=1e-12)
     assert rec.purity == pytest.approx(1.0, abs=1e-12)
     assert rec.as_row() == (
@@ -350,8 +350,33 @@ def batched_refusal(mats):
 )
 def test_records_of_diagonals_refuse_as_the_per_state_path(mats, expected):
     # the first state that fails any check decides, with the check order of
-    # DensityMatrix, nonclassical_area and entropy_pair within a state
+    # the density matrix, the variance and the tomogram within a state.  The
+    # per-state side is the same code at T = 1; what each matrix breaks is
+    # read independently in the test below
     want = per_state_refusal(mats)
     assert want is not None and expected in want[1]
     assert batched_refusal(mats) == want
+
+
+def test_each_refused_matrix_breaks_its_own_check():
+    # Var X_theta from 3x3 operator products and omega from the dense formula
+    a = np.diag(np.sqrt([1.0, 2.0]), 1)
+
+    def min_variance(m):
+        out = []
+        for theta in uniform_thetas(16):
+            x = (a * np.exp(-1j * theta) + a.T * np.exp(1j * theta)) / math.sqrt(2.0)
+            out.append(np.trace(m @ x @ x).real - np.trace(m @ x).real ** 2)
+        return min(out)
+
+    def min_omega(m):
+        grid = symmetric_grid(*WINDOW, (0.0, math.pi / 2))
+        return dense_tomogram(DensityMatrix(3, m), grid).min()
+
+    assert min_variance(GOOD) > 0.0 and min_omega(GOOD) > -1e-12
+    assert min_variance(BAD_VARIANCE) < 0.0
+    assert min_variance(BAD_TOMOGRAM) > 0.0 and min_omega(BAD_TOMOGRAM) < -1e-3
+    for m in (BAD_TRACE, NON_FINITE):
+        with pytest.raises((ValidationError, NumericalInvariantError)):
+            DensityMatrix(3, m)
 

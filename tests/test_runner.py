@@ -35,7 +35,9 @@ from nltomo.evolve import (
     propagate_unitary,
 )
 from nltomo.presets import preset_configs, preset_description, preset_names
-from nltomo.quantifiers import QuantifierRecord, compute_record
+from nltomo.quantifiers import (
+    QuantifierRecord, compute_record, nonclassical_area, tomographic_entropy
+)
 from nltomo.runner import (
     _resolve_window,
     convergence_sweep,
@@ -394,19 +396,33 @@ def test_truncation_check(tmp_path):
 
 
 def per_state_records(cfg):
-    """compute_record on each state of the sweep, one state at a time."""
+    """compute_record on each state of the sweep, one state at a time.
+
+    compute_record is the sweep's own code at T = 1, so each record is
+    first checked against the state itself: trace and purity from the
+    matrix, the area from its ladder expectations and the entropies from
+    its two-slice tomogram."""
     rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
     window = _resolve_window(cfg, rho0)
+    grid = symmetric_grid(*window, (0.0, math.pi / 2))
     times = cfg.time_grid.values
-    return [
-        compute_record(rho, t, cfg.t_rev, cfg.theta_count, window)
-        for rho, t in zip(evolved_states(rho0, cfg.medium, cfg.damping, times), times)
-    ]
+    records = []
+    for rho, t in zip(evolved_states(rho0, cfg.medium, cfg.damping, times), times):
+        rec = compute_record(rho, t, cfg.t_rev, cfg.theta_count, window)
+        assert rec.trace == pytest.approx(rho.trace(), abs=1e-12), t
+        assert rec.purity == pytest.approx(rho.purity(), abs=1e-12), t
+        assert rec.nonclassical_area == nonclassical_area(rho, cfg.theta_count), t
+        tomo = tomogram_of_density(rho, grid)
+        assert rec.entropy_0 == tomographic_entropy(tomo, 0), t
+        assert rec.entropy_90 == tomographic_entropy(tomo, 1), t
+        records.append(rec)
+    return records
 
 
 def assert_records_match(got, want, tol=1e-12):
-    """Every field within tol, and the area to the last bit: both paths sum
-    the same moments in the same order."""
+    """Every field of the sweep's records within tol of the per-state ones,
+    and the area to the last bit: a batch of T states sums the same moments
+    in the same order as T = 1, while the tomogram's products round with T."""
     assert len(got) == len(want)
     for rec, ref in zip(got, want):
         assert rec.nonclassical_area == ref.nonclassical_area, (rec.t, rec, ref)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +277,70 @@ def test_two_phase_kernel_is_the_rotate_first_loop_bit_for_bit(preset):
     assert diagonals[0].shape[0] == 64
     values = tomograms_of_diagonals(diagonals, grid)
     assert np.array_equal(values, rotate_first_tomograms(diagonals, grid))
+
+
+# --- closed-form tomograms at fractional revivals -------------------------------
+
+
+def revival_tomogram(spec, kerr, u, x, thetas):
+    """omega(x, theta) of the unitary state at t = u T_rev, u = p/q, in closed form.
+
+    chi T_rev = pi, so the phase g_n = exp(-i pi u f(n)) has period N = 2q
+    in n, and U(t) = sum_k c_k exp(-2 pi i k n / N) is a sum of N rotations,
+    c_k = N^-1 sum_n g_n exp(2 pi i k n / N) (Averbukh & Perelman, Phys.
+    Lett. A 139, 449 (1989)).  Each rotated coherent component |b> has the
+    quadrature wavefunction
+        phi_b(x) = pi^-1/4 exp(-(x - sqrt2 Re b)^2 / 2 + i sqrt2 Im b x - i Re b Im b),
+    and its slice at theta is that of b e^{-i theta}; the even family adds
+    the components of -alpha.  No Fock basis is used, so nothing is truncated.
+    """
+    alpha = spec.alpha
+    even = spec.kind is StateKind.EVEN_COHERENT
+    n = np.arange(2 * u.denominator)
+    f = n * (n - 1) if kerr else n * (n - 1) * (n - 2)
+    g = np.exp(-1j * math.pi * float(u) * f)
+    c = np.exp(2j * math.pi * np.outer(n, n) / n.size) @ g / n.size
+    signs = (1, -1) if even else (1,)
+    norm = 2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2)) if even else 1.0
+    slices = []
+    for theta in thetas:
+        beta = alpha * np.exp(-1j * (theta + 2.0 * math.pi * n / n.size))
+        psi = 0.0
+        for b in (s * beta[:, None] for s in signs):
+            phi = math.pi**-0.25 * np.exp(
+                -((x - math.sqrt(2.0) * b.real) ** 2) / 2.0
+                + 1j * math.sqrt(2.0) * b.imag * x
+                - 1j * b.real * b.imag
+            )
+            psi = psi + c @ phi
+        slices.append(np.abs(psi) ** 2 / norm)
+    return np.array(slices)
+
+
+KERR_REVIVALS = ("1/6", "1/4", "1/3", "1/2", "3/4")
+CUBIC_REVIVALS = ("1/12", "1/9", "1/6", "1/4")
+
+
+@pytest.mark.parametrize(
+    "preset, fractions, tol",
+    [
+        ("fig1", KERR_REVIVALS, 1e-12),
+        # dim 100 truncates |alpha|^2 = 40 at the 1e-8 level
+        ("fig7", KERR_REVIVALS, 1e-7),
+        ("fig18", CUBIC_REVIVALS, 1e-12),
+    ],
+    ids=["fig1", "fig7", "fig18"],
+)
+@pytest.mark.parametrize("family", ["coherent", "even"])
+def test_tomograms_at_fractional_revivals_match_closed_form(preset, fractions, tol, family):
+    cfg = next(c for c in preset_configs(preset) if c.name.endswith(f"_{family}"))
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    grid = symmetric_grid(*_resolve_window(cfg, rho0), conjugate_thetas(0.0))
+    kerr = cfg.medium.kind is MediumKind.KERR
+    for u in map(Fraction, fractions):
+        rho = propagate_unitary(rho0, cfg.medium, float(u) * cfg.t_rev)
+        want = revival_tomogram(cfg.initial_state, kerr, u, grid.x, grid.thetas)
+        assert np.max(np.abs(tomogram_of_density(rho, grid).values - want)) < tol, u
 
 
 def gaussian_slices(x, scales):

@@ -1,5 +1,6 @@
-"""The benchmark harness's self-tests, run against this source tree."""
+"""The benchmark harness's self-tests and the README's example, run against this source tree."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,5 +17,22 @@ def test_perfbench_selftest_passes():
         text=True,
         timeout=120,
         cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_api_example_runs():
+    # the ```python block under "## Python API", run as a script
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
