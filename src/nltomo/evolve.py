@@ -20,6 +20,7 @@ a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
 the eigenvectors of A_d.  Either form is closed in t, so any time list
 is evaluated directly, with no stepping; a cubic block whose
 eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
+The cubic eigenbases are kept for the two most recent (medium, gamma, dim).
 Both forms need e^{t a_j}, and a_j = r_{j+d} + conj(r_j) with
 r_n = -i chi f(n) - gamma n / 2, so one table e^{t r_n} per batch of
 times, dim exponentials per time, serves every block.
@@ -338,7 +339,8 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
 
 
 # times per batch; at dim 100 a chunk's diagonals hold 5.2 MB and its phase table and its
-# conjugate 0.2 MB; the series of one call hold 5.4 MB of C or V, the cached Hankel blocks 2.7 MB
+# conjugate 0.2 MB; the series of one call hold 5.4 MB of C or V, the cached Hankel blocks 2.7 MB;
+# the cached cubic eigenbases hold 1.1 MB per (medium, gamma, dim) at dim 60, 1.8 MB at dim 70
 _CHUNK = 64
 _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
 
@@ -354,6 +356,24 @@ def _eigenbasis(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         V = np.cumprod(np.where(upper, -np.append(b, 0.0)[:, None] / gap, 1.0)[::-1], axis=0)
         V_inv = np.cumprod(np.where(upper, np.append(0.0, b) / gap, 1.0), axis=1)
     return np.triu(V[::-1]), np.triu(V_inv)
+
+
+@functools.lru_cache(maxsize=2)
+def _cubic_eigenbases(medium: MediumSpec, gamma: float, dim: int) -> tuple[np.ndarray | None, ...]:
+    """The eigenbases of the cubic blocks d = 1, ..., dim - 1, entry d - 1 for block d, read-only.
+
+    Each is packed in one (J, J) array: V in the upper triangle, V^{-1} transposed strictly
+    below (both have unit diagonals).  None where cond_1(V) > _EIGEN_COND_MAX.
+    """
+    phi = medium.phase_exponents(dim)
+    packed = []
+    for d in range(1, dim):
+        V, V_inv = _eigenbasis(*_block_generator(medium, phi, gamma, d))
+        P = np.where(np.tri(dim - d, k=-1, dtype=bool), V_inv.T, V)
+        P.setflags(write=False)
+        conditioned = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1) <= _EIGEN_COND_MAX
+        packed.append(P if conditioned else None)
+    return tuple(packed)
 
 
 def _block_series(
@@ -372,7 +392,8 @@ def _block_series(
     medium (delta = -gamma).  Cubic blocks with d >= 1 use the eigenvectors
     V of A_d (its eigenvalues are its diagonal, distinct for gamma > 0):
     x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential at each time
-    if cond_1(V) > _EIGEN_COND_MAX.
+    if cond_1(V) > _EIGEN_COND_MAX.  V and V^{-1} depend on (medium, gamma, dim)
+    alone and are kept for the two most recent (:func:`_cubic_eigenbases`).
     """
     J = x0.size
     if d == 0 or medium.kind is MediumKind.KERR:
@@ -387,12 +408,13 @@ def _block_series(
             return exp_ta * (np.vander(w, J, increasing=True) @ C)
 
         return cascade
-    a, b = _block_generator(medium, phi, gamma, d)
-    V, V_inv = _eigenbasis(a, b)
-    if np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1) <= _EIGEN_COND_MAX:
-        c = V_inv @ x0
-        return lambda times, exp_ta: (exp_ta * c) @ V.T
+    P = _cubic_eigenbases(medium, gamma, phi.size)[d - 1]
+    if P is not None:
+        c = np.triu(P.T) @ x0
+        # V unpacked per call, not held: the series of one call would keep a second copy
+        return lambda times, exp_ta: (exp_ta * c) @ np.triu(P).T
     # ill-conditioned, or overflowed to nan: the dense exponential per time
+    a, b = _block_generator(medium, phi, gamma, d)
     return lambda times, exp_ta: np.array(
         [expm((np.diag(a) + np.diag(b, 1)) * t) @ x0 for t in times]
     )

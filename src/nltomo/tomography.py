@@ -188,8 +188,8 @@ def _cached_basis(dim: int, x_min: float, x_max: float, n_x: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _dump_slice_template(x_min: float, x_max: float, n_x: int) -> str:
-    """One slice of dump text: "@" stands for theta, "%.12g" for each value."""
-    return "\n".join("@ %.9g %%.12g" % x for x in _linspace(x_min, x_max, n_x).tolist())
+    """One slice of dump text: "@" stands for theta, "%s" for each value."""
+    return "\n".join("@ %.9g %%s" % x for x in _linspace(x_min, x_max, n_x).tolist())
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,21 @@ class Tomogram:
 
     def to_dump_text(self) -> str:
         template = _dump_slice_template(self.grid.x_min, self.grid.x_max, self.grid.n_x)
+        values, n = self.values, self.grid.n_theta
+        # omega(x, theta + pi) = omega(-x, theta): equal bit for bit, slice i + n/2 reuses i's strings
+        h = n // 2
+        if n % 2 or values[h:].tobytes() != values[:h, ::-1].tobytes():
+            h = n
         # joined slice by slice: one flat list of every line holds ~2 MB of
         # small strings per dump, which are freed and page-faulted back each time
-        blocks = ["# theta x omega"]
-        for theta, row in zip(self.grid.thetas, self.values):
-            blocks.append(template.replace("@", "%.9g" % theta) % tuple(row.tolist()))
-        return "\n".join(blocks) + "\n"
+        blocks = [template.replace("@", "%.9g" % theta) for theta in self.grid.thetas]
+        value_format = "\n".join(["%.12g"] * self.grid.n_x)
+        for i in range(h):
+            strings = (value_format % tuple(values[i].tolist())).split("\n")
+            blocks[i] %= tuple(strings)
+            if h < n:
+                blocks[i + h] %= tuple(reversed(strings))
+        return "# theta x omega\n" + "\n".join(blocks) + "\n"
 
     def write_dump(self, path: str | Path) -> Path:
         path = Path(path)
@@ -244,8 +253,8 @@ def _negativity_error(low: float) -> NumericalInvariantError:
 
 
 def tomogram_of_density(rho: DensityMatrix, grid: QuadratureGrid) -> Tomogram:
-    """Tomogram of a density matrix: :func:`tomograms_of_diagonals` of its
-    diagonals rho_{j+d, j} with T = 1, passed through :func:`check_tomograms`."""
+    """Tomogram of a density matrix: :func:`tomograms_of_diagonals` of its diagonals rho_{j+d, j}
+    with T = 1 (half the phases on a pi-closed grid), passed through :func:`check_tomograms`."""
     values = tomograms_of_diagonals((rho.elements.diagonal(-d)[None] for d in range(rho.dim)), grid)
     check_tomograms(values, grid.x)
     return Tomogram._of_checked(grid, values[:, 0])
@@ -267,16 +276,23 @@ def tomograms_of_diagonals(
     diagonal's rotated real parts, (n_theta T, J), multiply G_d.  On more, the
     basis is contracted first, H_d = [Re x_d; Im x_d] G_d, (2, T, n_x), and
     [c_d cos d theta, c_d sin d theta] H_d is added; each order is the faster
-    one on its side.  Returns values[i, k, j] = omega_k(x_j, theta_i),
-    unchecked: see :func:`check_tomograms`.
+    one on its side.  Since X_{theta+pi} = -X_theta, omega(x, theta + pi) =
+    omega(-x, theta): on a symmetric window whose second half of phases is the
+    first shifted by pi, as on an even uniform grid, only the first half is
+    computed and the second is its mirror in x.  Returns
+    values[i, k, j] = omega_k(x_j, theta_i), unchecked: see :func:`check_tomograms`.
     """
+    thetas = np.array(grid.thetas)
+    h = grid.n_theta // 2  # the phases computed; the two-phase order below never mirrors
+    if (grid.n_theta <= 2 or grid.n_theta % 2 or grid.x_min != -grid.x_max
+            or np.any(abs(thetas[h:] - thetas[:h] - math.pi) > 1e-12)):
+        h = grid.n_theta
     out = None
     for d, x_d in enumerate(diagonals):
         if out is None:
             T, dim = x_d.shape
             psi = _cached_basis(dim, grid.x_min, grid.x_max, grid.n_x)
             out = np.zeros((grid.n_theta, T, grid.n_x))
-            thetas = np.array(grid.thetas)
         weight = 1.0 if d == 0 else 2.0
         basis = (psi[:, d:] * psi[:, : dim - d]).T
         if grid.n_theta <= 2:
@@ -287,9 +303,11 @@ def tomograms_of_diagonals(
             rotated = np.multiply.outer(cos, x_d.real) + np.multiply.outer(sin, x_d.imag)
             out += (rotated.reshape(-1, dim - d) @ basis).reshape(out.shape)
         else:
-            rotation = weight * np.stack([np.cos(d * thetas), np.sin(d * thetas)], axis=1)
+            rotation = weight * np.stack([np.cos(d * thetas[:h]), np.sin(d * thetas[:h])], axis=1)
             contracted = np.stack([x_d.real, x_d.imag]) @ basis
-            out += (rotation @ contracted.reshape(2, -1)).reshape(out.shape)
+            out[:h] += (rotation @ contracted.reshape(2, -1)).reshape(h, T, grid.n_x)
+    if h < grid.n_theta:
+        out[h:] = out[:h, :, ::-1]
     return out
 
 

@@ -12,6 +12,7 @@ from nltomo.evolve import (
     MediumSpec,
     TimeGrid,
     _block_generator,
+    _cubic_eigenbases,
     _eigenbasis,
     _from_blocks,
     coherence_block_solve,
@@ -330,6 +331,54 @@ def test_closed_form_eigenbasis_of_the_cubic_blocks(preset):
         A = np.diag(a) + np.diag(b, 1)
         assert np.max(np.abs(A @ V - V * a)) < 1e-12
         assert np.max(np.abs(V @ V_inv - np.eye(a.size))) < 1e-12
+
+
+def test_cubic_eigenbases_are_packed_read_only_and_kept_per_key():
+    # one entry per block d >= 1: V in the upper triangle, V^{-1} transposed
+    # strictly below, bit for bit those of _eigenbasis
+    _cubic_eigenbases.cache_clear()
+    packed = _cubic_eigenbases(CUBIC, 0.1, 30)
+    assert len(packed) == 29
+    phi = CUBIC.phase_exponents(30)
+    for d, P in enumerate(packed, start=1):
+        V, V_inv = _eigenbasis(*_block_generator(CUBIC, phi, 0.1, d))
+        assert P.shape == (30 - d, 30 - d)
+        assert np.array_equal(np.triu(P), V) and np.array_equal(np.triu(P.T), V_inv)
+        assert not P.flags.writeable
+        with pytest.raises(ValueError):
+            P[0, 0] = 2.0
+    # the ill-conditioned blocks of the fallback test are kept as None
+    assert None in _cubic_eigenbases(MediumSpec(MediumKind.CUBIC, 0.001), 1.0, 70)
+
+    # two keys are kept; a third evicts the least recently used
+    _cubic_eigenbases.cache_clear()
+    keys = [(CUBIC, 0.1, 12), (CUBIC, 0.2, 12), (MediumSpec(MediumKind.CUBIC, 4.0), 0.1, 12)]
+    kept = [_cubic_eigenbases(*key) for key in keys]
+    assert _cubic_eigenbases.cache_info().currsize == 2
+    assert _cubic_eigenbases(*keys[2]) is kept[2]
+    assert _cubic_eigenbases(*keys[1]) is kept[1]
+    assert _cubic_eigenbases(*keys[0]) is not kept[0]
+    assert all(np.array_equal(P, Q) for P, Q in zip(_cubic_eigenbases(*keys[0]), kept[0]))
+
+
+def test_cubic_diagonals_do_not_depend_on_the_state_before():
+    # state B after state A at the same (medium, gamma, dim) reads A's
+    # eigenbases, and gets B's diagonals bit for bit as on a cleared cache
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)
+    state_a = padded_rho(dim=30, alpha_sq=3.0, p=3)
+    state_b = padded_rho(dim=30, alpha_sq=2.0, p=1, delta=1.1)
+    times = np.linspace(0.0, 2.0, 70)
+
+    def diagonal_bytes(rho):
+        chunks = coherence_diagonals(rho, CUBIC, damping, times)
+        return [x.tobytes() for _, diagonals in chunks for x in diagonals]
+
+    _cubic_eigenbases.cache_clear()
+    fresh = diagonal_bytes(state_b)
+    _cubic_eigenbases.cache_clear()
+    diagonal_bytes(state_a)
+    assert diagonal_bytes(state_b) == fresh
+    assert _cubic_eigenbases.cache_info().misses == 1  # built once, for A
 
 
 def test_amplitude_exact_states_stepping_keeps_trace():

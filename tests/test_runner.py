@@ -744,6 +744,16 @@ def test_oracle_report_passes_on_amplitude_presets(preset):
     assert "# overall: PASS" in report.text
 
 
+@pytest.mark.parametrize("preset", ["fig12", "fig13", "fig14", "fig19"])
+def test_cli_oracle_passes_on_amplitude_presets(preset, tmp_path, capsys):
+    # the cubic ones read their block eigenbases from the per-key cache, which
+    # the per-block exponential of the reference does not use
+    path = tmp_path / f"{preset}.cfg"
+    path.write_text(config_to_text(preset_configs(preset)[0]))
+    assert main(["oracle", str(path)]) == EXIT_OK
+    assert "# overall: PASS" in capsys.readouterr().out
+
+
 # --- presets ---------------------------------------------------------------------
 
 

@@ -259,6 +259,34 @@ def test_tomograms_of_diagonals_match_tomogram_of_density():
                     assert np.max(np.abs(tomogram_of_density(rho, grid).values - want)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "thetas, window, mirrored",
+    [
+        (uniform_thetas(128), (-9.0, 9.0, 181), True),
+        (uniform_thetas(16), (-6.0, 6.0, 120), True),
+        (uniform_thetas(127), (-9.0, 9.0, 181), False),
+        (uniform_thetas(128), (-7.5, 9.0, 170), False),
+        ((0.0, 1.0, 2.0, math.pi + 1e-9, math.pi + 1.0, math.pi + 2.0), (-9.0, 9.0, 181), False),
+    ],
+    ids=["even128", "even16", "odd127", "asymmetric", "not_pi_closed"],
+)
+def test_pi_closed_grids_compute_half_the_phases_and_mirror_the_rest(thetas, window, mirrored):
+    # omega(x, theta + pi) = omega(-x, theta): on an even grid closed under
+    # theta -> theta + pi and a symmetric window, the second half of the slices
+    # is the first reversed in x, bit for bit; every slice, mirrored or not,
+    # matches the dense formula
+    rho0 = density_from_pure(InitialStateSpec(StateKind.PHOTON_ADDED, 1.2 + 0.7j, 2).build(30))
+    states = [propagate_phase_damping(rho0, KERR, 0.3, 0.05 * k) for k in range(3)]
+    grid = QuadratureGrid(*window, thetas)
+    diagonals = (np.array([np.diagonal(r.elements, -d) for r in states]) for d in range(30))
+    values = tomograms_of_diagonals(diagonals, grid)
+    h = grid.n_theta // 2
+    if grid.n_theta % 2 == 0:
+        assert np.array_equal(values[h:], values[:h, :, ::-1]) == mirrored
+    for k, rho in enumerate(states):
+        assert np.max(np.abs(values[:, k] - dense_tomogram(rho, grid))) < 1e-13
+
+
 @pytest.mark.parametrize("preset", ["fig1", "fig9"])
 def test_two_phase_kernel_is_the_rotate_first_loop_bit_for_bit(preset):
     """The sweeps' two-slice tomograms equal those of the rotate-first loop.
@@ -408,6 +436,26 @@ def test_dump_text_is_byte_identical_to_the_f_string_formatter(window, rng):
     values[-1, -len(edge) :] = edge
     tomo = Tomogram(grid, values)
     assert tomo.to_dump_text() == f_string_dump_text(tomo)
+
+
+def test_dump_text_formats_a_mirrored_pair_once_and_only_when_bit_equal(rng):
+    # a dump on a pi-closed grid: slice i + 64 is slice i reversed, bit for bit
+    rho = density_from_pure(InitialStateSpec(StateKind.PHOTON_ADDED, 1.2 + 0.7j, 2).build(30))
+    tomo = tomogram_of_density(rho, symmetric_grid(9.0, 181, uniform_thetas(128)))
+    assert np.array_equal(tomo.values[64:], tomo.values[:64, ::-1])
+    assert tomo.to_dump_text() == f_string_dump_text(tomo)
+    # the same pairing one ulp off: the strings may not be reused; the ulp
+    # above 0.0 prints as 4.94065645841e-324
+    grid = symmetric_grid(6.0, 51, uniform_thetas(8))
+    half = rng.uniform(0.0, 0.6, (4, 51))
+    half[:, :3] = [0.0, 0.1, 1.0 / 3.0]
+    values = np.concatenate([half, half[:, ::-1]])
+    assert Tomogram(grid, values).to_dump_text() == f_string_dump_text(Tomogram(grid, values))
+    values[-1, -1] = np.nextafter(0.0, 1.0)
+    off = Tomogram(grid, values)
+    text = off.to_dump_text()
+    assert text == f_string_dump_text(off)
+    assert text.endswith(" 4.94065645841e-324\n")
 
 
 def test_parse_dump_rejects_bad_header():
