@@ -79,7 +79,9 @@ def _one_blas_thread():
             put(count)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="nltomo",
         description=(

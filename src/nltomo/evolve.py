@@ -17,9 +17,13 @@ for fixed d = n - m >= 0 gives an independent upper-bidiagonal system
 Wherever the a_j are equally spaced in j -- every Kerr block, and the
 population block d = 0 in either medium -- the solution collapses into
 a closed binomial cascade; the cubic blocks with d >= 1 are expanded in
-the eigenvectors of A_d.  Either form is closed in t, so any time list
-is evaluated directly, with no stepping; a cubic block whose
-eigenvectors are ill-conditioned takes the matrix exponential :func:`expm`.
+the eigenvectors of A_d.  The cascade is a power series in one weight
+per block, |w| <= 1 - e^{-gamma t}; each batch of times sums it only as
+far as the terms left out stay below 2^-60 an entry, by a bound kept per
+block from x_d(0), and forms its coefficients for those powers alone.
+Either form is closed in t, so any time list is evaluated directly, with
+no stepping; a cubic block whose eigenvectors are ill-conditioned takes
+the matrix exponential :func:`expm`.
 The cubic eigenbases are kept for the two most recent (medium, gamma, dim).
 Both forms need e^{t a_j}, and a_j = r_{j+d} + conj(r_j) with
 r_n = -i chi f(n) - gamma n / 2, so one table e^{t r_n} per batch of
@@ -48,7 +52,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalInvariantError, ValidationError
 from .states import DensityMatrix, log_factorials
@@ -316,8 +319,9 @@ def coherence_diagonals(
     Yields one (chunk, diagonals) pair per run of up to 64 consecutive
     times; ``diagonals`` yields x_d(chunk) as a (T, dim - d) array for
     d = 0, 1, ..., dim - 1, one at a time, so no batch of whole states is
-    held.  Amplitude damping evaluates each block by :func:`_block_series`,
-    with e^{t a} read from the chunk's Fock phase table; unitary evolution
+    held.  Amplitude damping evaluates each block by :func:`_cascade` or
+    :func:`_block_series`, with e^{t a} read from the chunk's Fock phase
+    table; unitary evolution
     and dephasing multiply x_d(0) elementwise by exp(t a_d),
     a_d = -i chi [f(j+d) - f(j)] - gamma d^2 / 2, the factor of
     :func:`propagate_phase_damping`.  ``times`` is validated and the
@@ -339,10 +343,13 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
 
 
 # times per batch; at dim 100 a chunk's diagonals hold 5.2 MB and its phase table and its
-# conjugate 0.2 MB; the series of one call hold 5.4 MB of C or V, the cached Hankel blocks 2.7 MB;
-# the cached cubic eigenbases hold 1.1 MB per (medium, gamma, dim) at dim 60, 1.8 MB at dim 70
+# conjugate 0.2 MB; the series of one call hold 0.24 MB of padded diagonals and term bounds,
+# the cached Hankel blocks 2.7 MB; a chunk's cascade coefficients C hold K (dim - d) entries
+# per block, at most 0.16 MB; the cached cubic eigenbases hold 1.1 MB per (medium, gamma, dim)
+# at dim 60, 1.8 MB at dim 70
 _CHUNK = 64
 _EIGEN_COND_MAX = 1e4  # cond(V_d) * eps stays below 1e-12
+_CASCADE_TAIL = 2.0**-60  # bound on the cascade terms dropped per entry, far below round-off
 
 
 def _eigenbasis(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,38 +383,80 @@ def _cubic_eigenbases(medium: MediumSpec, gamma: float, dim: int) -> tuple[np.nd
     return tuple(packed)
 
 
+def _hankel_rows(padded: np.ndarray, rows: int) -> np.ndarray:
+    """Rows k < rows of the Hankel matrix x0[j + k], j < J, as a strided view of
+    ``padded``, x0 followed by J - 1 zeros (so zero past the block's end)."""
+    step = padded.strides[0]
+    # the ndarray constructor: as_strided costs more than the product it feeds at small K
+    return np.ndarray((rows, (padded.size + 1) // 2), padded.dtype, padded, strides=(step, step))
+
+
+def _cascade_bounds(padded: list[np.ndarray], dim: int) -> np.ndarray:
+    """B[d, k] = max_j H[k, j] |x_{j+k}(0)| of each cascade block d, zero for k >= dim - d.
+
+    Term k of entry j of the cascade is w^k H[k, j] x_{j+k}(0) e^{t a_j}, and
+    |w| < 1, |e^{t a_j}| <= 1, so sum_{k >= K} max|w|^k B[d, k] bounds every
+    dropped entry when the cascade stops after K terms.  ``padded`` as for
+    :func:`_hankel_rows`.
+    """
+    bounds = np.zeros((len(padded), dim))
+    for d, x in enumerate(padded):
+        J = dim - d
+        bounds[d, :J] = (_cascade_hankel(dim, d) * _hankel_rows(np.abs(x), J)).max(axis=1)
+    return bounds
+
+
+def _cascade_lengths(w_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The smallest K >= 1 per block with sum_{k >= K} w_max^k B[d, k] <= _CASCADE_TAIL.
+
+    K = dim - d where no shorter sum meets the bound (the padding of B is
+    zero); one (blocks, dim) pass for all blocks of a chunk.
+    """
+    terms = np.power.outer(w_max, np.arange(bounds.shape[1])) * bounds
+    tails = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]  # tails[:, K - 1] sums k >= K
+    tails = np.append(tails, np.zeros((len(w_max), 1)), axis=1)  # K = dim leaves nothing out
+    return 1 + np.argmax(tails <= _CASCADE_TAIL, axis=1)
+
+
+def _cascade(
+    padded: np.ndarray, d: int, w: np.ndarray, length: int, exp_ta: np.ndarray
+) -> np.ndarray:
+    """x_d(t) = exp(A_d t) x_d(0) of a block whose diagonal a is equally spaced, over the
+    first ``length`` powers of w, as a (T, J) array.
+
+    With spacing delta, the divided differences of e^{a t} telescope into
+    powers of one weight w = gamma (e^{delta t} - 1) / delta, and
+    x(t) = e^{t a} o (W @ C) with W[t, k] = w(t)^k and C[k, j] = H[k, j] x_{j+k}(0)
+    (H from :func:`_cascade_hankel`).  That holds for every Kerr block
+    (delta = -(gamma + 2i chi d)) and for the population block d = 0 in any
+    medium (delta = -gamma).  C is formed per chunk, for k < length only;
+    the terms left out are bounded by :func:`_cascade_bounds` and
+    :func:`_cascade_lengths`.  ``padded`` as for :func:`_hankel_rows`.
+    """
+    dim = (padded.size + 1) // 2 + d
+    x = np.vander(w, length, increasing=True) @ (
+        _cascade_hankel(dim, d)[:length] * _hankel_rows(padded, length)
+    )
+    x *= exp_ta
+    return x
+
+
 def _block_series(
     medium: MediumSpec, phi: np.ndarray, gamma: float, d: int, x0: np.ndarray
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(times, e^{t a}) -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array; built once per block.
+    """(times, e^{t a}) -> x_d(t) = exp(A_d t) x_d(0) as a (T, J) array, for a cubic block
+    d >= 1; built once per block.
 
     The second argument is e^{t a_j} for the diagonal a of A_d, (T, J), read
-    from the chunk's phase table (:func:`_diagonal_series`).  Where a is
-    equally spaced, with spacing delta, the divided differences of e^{a t}
-    telescope into powers of one weight w = gamma (e^{delta t} - 1) / delta,
-    and x(t) = e^{t a} o (W @ C) with W[t, k] = w(t)^k and
-    C[k, j] = H[k, j] x_{j+k}(0), zero where j + k >= J (H from
-    :func:`_cascade_hankel`).  That holds for every Kerr block
-    (delta = -(gamma + 2i chi d)) and for the population block d = 0 in any
-    medium (delta = -gamma).  Cubic blocks with d >= 1 use the eigenvectors
-    V of A_d (its eigenvalues are its diagonal, distinct for gamma > 0):
-    x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential at each time
-    if cond_1(V) > _EIGEN_COND_MAX.  V and V^{-1} depend on (medium, gamma, dim)
-    alone and are kept for the two most recent (:func:`_cubic_eigenbases`).
+    from the chunk's phase table (:func:`_diagonal_series`).  The blocks
+    whose a is equally spaced, every Kerr block and d = 0 in either medium,
+    are cascades instead (:func:`_cascade`).  A cubic block d >= 1 uses the
+    eigenvectors V of A_d (its eigenvalues are its diagonal, distinct for
+    gamma > 0): x(t) = V (e^{t a} o V^{-1} x(0)), or the dense exponential at
+    each time if cond_1(V) > _EIGEN_COND_MAX.  V and V^{-1} depend on
+    (medium, gamma, dim) alone and are kept for the two most recent
+    (:func:`_cubic_eigenbases`).
     """
-    J = x0.size
-    if d == 0 or medium.kind is MediumKind.KERR:
-        delta = -(gamma + 2j * medium.chi * d)
-        # the Hankel matrix x0[j + k], zero past the block's end
-        window = sliding_window_view(np.append(x0, np.zeros(J - 1)), J)
-        C = _cascade_hankel(phi.size, d) * window
-
-        def cascade(times: np.ndarray, exp_ta: np.ndarray) -> np.ndarray:
-            # delta != 0 for gamma > 0, and w = 0 at t = 0
-            w = gamma * np.expm1(delta * times) / delta
-            return exp_ta * (np.vander(w, J, increasing=True) @ C)
-
-        return cascade
     P = _cubic_eigenbases(medium, gamma, phi.size)[d - 1]
     if P is not None:
         c = np.triu(P.T) @ x0
@@ -428,17 +477,32 @@ def _diagonal_series(
     phi = medium.phase_exponents(dim)
     x0 = [np.diagonal(rho0.elements, -d) for d in range(dim)]
     if damping.channel is DampingChannel.AMPLITUDE:
-        blocks = [_block_series(medium, phi, damping.gamma, d, x) for d, x in enumerate(x0)]
+        gamma = damping.gamma
+        # the cascades: every Kerr block, and the population block d = 0 in either medium
+        cascades = dim if medium.kind is MediumKind.KERR else 1
+        delta = -(gamma + 2j * medium.chi * np.arange(cascades))
+        padded = [np.append(x, np.zeros(dim - d - 1, x.dtype)) for d, x in enumerate(x0[:cascades])]
+        bounds = _cascade_bounds(padded, dim)
+        blocks = [_block_series(medium, phi, gamma, d, x0[d]) for d in range(cascades, dim)]
         # a_j of block d is r_{j+d} + conj(r_j), so with the table U = e^{t r},
         # dim exponentials per time, e^{t a} = U[:, d:] o conj(U[:, :dim-d])
-        rate = -1j * medium.chi * phi - 0.5 * damping.gamma * np.arange(dim)
+        rate = -1j * medium.chi * phi - 0.5 * gamma * np.arange(dim)
 
         def amplitude(times: np.ndarray) -> Iterator[np.ndarray]:
             table = np.exp(np.multiply.outer(times, rate))
             table_bar = table.conj()
+            # delta != 0 for gamma > 0, and w = 0 at t = 0
+            w = gamma * np.expm1(np.multiply.outer(times, delta)) / delta
+            lengths = _cascade_lengths(np.abs(w).max(axis=0), bounds)
+
+            def exp_ta(d: int) -> np.ndarray:
+                return table[:, d:] * table_bar[:, : dim - d]
+
             return (
-                block(times, table[:, d:] * table_bar[:, : dim - d])
-                for d, block in enumerate(blocks)
+                _cascade(padded[d], d, w[:, d], lengths[d], exp_ta(d))
+                if d < cascades
+                else blocks[d - cascades](times, exp_ta(d))
+                for d in range(dim)
             )
 
         return amplitude

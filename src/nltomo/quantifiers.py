@@ -278,7 +278,11 @@ def records_of_diagonals(
         nonlocal finite, purity
         for d, x_d in enumerate(diagonals):
             finite = finite & np.isfinite(x_d).all(axis=1)
-            purity = purity + (1.0 if d == 0 else 2.0) * np.sum(np.abs(x_d) ** 2, axis=1)
+            # |x|^2 as re^2 + im^2, with no complex abs; on the parts, since x_d may be a
+            # strided view, which has no float64 view
+            re, im = x_d.real, x_d.imag
+            square = np.einsum("tj,tj->t", re, re) + np.einsum("tj,tj->t", im, im)
+            purity = purity + (1.0 if d == 0 else 2.0) * square
             if d < 3:
                 low[d] = x_d
             yield x_d

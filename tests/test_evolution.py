@@ -11,7 +11,11 @@ from nltomo.evolve import (
     MediumKind,
     MediumSpec,
     TimeGrid,
+    _CASCADE_TAIL,
     _block_generator,
+    _cascade_bounds,
+    _cascade_hankel,
+    _cascade_lengths,
     _cubic_eigenbases,
     _eigenbasis,
     _from_blocks,
@@ -25,6 +29,7 @@ from nltomo.evolve import (
 )
 from nltomo.presets import preset_configs
 from nltomo.states import (
+    DensityMatrix,
     FockVector,
     InitialStateSpec,
     StateKind,
@@ -420,6 +425,117 @@ def test_phase_table_matches_block_reference_at_preset_size(medium, dim, gamma, 
     for t, rho_t in zip(times, evolved_states(rho0, medium, damping, times)):
         direct = coherence_block_solve(rho0, medium, gamma, float(t))
         assert np.max(np.abs(rho_t.elements - direct.elements)) < 1e-13
+
+
+# --- truncated binomial cascade ---------------------------------------------
+
+
+def padded_diagonals(rho0, blocks):
+    """The first ``blocks`` diagonals x_d(0), each followed by dim - d - 1 zeros."""
+    return [
+        np.append(np.diagonal(rho0.elements, -d), np.zeros(rho0.dim - d - 1, complex))
+        for d in range(blocks)
+    ]
+
+
+def cascade_weights(medium, gamma, times, blocks):
+    """w_d(t) = gamma (e^{delta_d t} - 1) / delta_d, delta_d = -(gamma + 2i chi d), (T, blocks)."""
+    delta = -(gamma + 2j * medium.chi * np.arange(blocks))
+    return gamma * np.expm1(np.multiply.outer(times, delta)) / delta
+
+
+def cascade_coefficients(x0, d):
+    """C[k, j] = H[k, j] x_{j+k}(0) of block d, zero where j + k >= J, all J rows."""
+    hankel = np.array([np.append(x0[k:], np.zeros(k)) for k in range(x0.size)])
+    return _cascade_hankel(x0.size + d, d) * hankel
+
+
+def cascade_terms(x0, d, w):
+    """Term k of the cascade sum of block d, w^k H[k, j] x_{j+k}(0), as (J, T, J)."""
+    powers = np.power.outer(w, np.arange(x0.size)).T
+    return powers[:, :, None] * cascade_coefficients(x0, d)[:, None, :]
+
+
+def test_truncated_cascade_equals_the_full_sum_at_fig8_size():
+    # every Kerr block over the full fig8 grid (3 x 700 times per preset,
+    # dim 100) against the cascade summed over all J = dim - d powers with the
+    # same e^{t a} table: the summed terms stop where the dropped ones are
+    # bounded by 2^-60, so the two agree to round-off
+    rho0 = padded_rho(dim=100, alpha_sq=40.0, p=3)
+    dim, gamma = rho0.dim, 0.05
+    times = np.linspace(0.0, 0.55 * revival_time(KERR), 700)
+    rate = -1j * KERR.chi * KERR.phase_exponents(dim) - 0.5 * gamma * np.arange(dim)
+    damping = DampingSpec(DampingChannel.AMPLITUDE, gamma)
+    worst = 0.0
+    for chunk, diagonals in coherence_diagonals(rho0, KERR, damping, times):
+        table = np.exp(np.multiply.outer(chunk, rate))
+        w = cascade_weights(KERR, gamma, chunk, dim)
+        for d, x_d in enumerate(diagonals):
+            J = dim - d
+            C = cascade_coefficients(np.diagonal(rho0.elements, -d), d)
+            full = table[:, d:] * table[:, :J].conj() * (np.vander(w[:, d], J, increasing=True) @ C)
+            worst = max(worst, float(np.max(np.abs(x_d - full))))
+    assert worst <= 1e-15
+
+
+def test_cascade_bound_covers_the_dropped_tail(rng):
+    # on random mixed states, rates and times, sum_{k >= K} max|w|^k B[d, k]
+    # bounds every entry's dropped tail for every K, and the chosen length is
+    # the smallest K whose bound meets 2^-60
+    for trial in range(4):
+        dim = int(rng.integers(8, 25))
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = DensityMatrix(dim, (A @ A.conj().T) / np.trace(A @ A.conj().T).real)
+        medium = MediumSpec(MediumKind.KERR, float(rng.uniform(0.1, 5.0)))
+        gamma = float(rng.uniform(0.01, 1.0))
+        times = rng.uniform(0.0, 3.0 / gamma, size=5)
+        w = cascade_weights(medium, gamma, times, dim)
+        w_max = np.abs(w).max(axis=0)
+        assert np.all(w_max < 1.0)
+        bounds = _cascade_bounds(padded_diagonals(rho0, dim), dim)
+        lengths = _cascade_lengths(w_max, bounds)
+        for d in range(dim):
+            J = dim - d
+            terms = cascade_terms(np.diagonal(rho0.elements, -d), d, w[:, d])
+            dropped = np.abs(np.cumsum(terms[::-1], axis=0)[::-1]).max(axis=(1, 2))  # k >= K
+            bound = np.cumsum((w_max[d] ** np.arange(J) * bounds[d, :J])[::-1])[::-1]
+            assert np.all(dropped <= bound * (1.0 + 1e-12)), (trial, d)
+            K = int(lengths[d])
+            assert 1 <= K <= J
+            assert K == J or bound[K] <= _CASCADE_TAIL
+            assert K == 1 or bound[K - 1] > _CASCADE_TAIL
+
+
+def test_fig13_population_block_lengths_follow_gamma_t_and_the_state():
+    # at the fig13 dump times the weight of the population block is
+    # 1 - e^{-gamma t}, and the summed length grows with it; at gamma*t = 10
+    # (w = 1 - e^{-10}) the cut falls where the populations of the
+    # 3-photon-added state vanish, and a state with half its weight in the
+    # top Fock level meets no shorter bound, so it takes all J = dim terms
+    cfg = preset_configs("fig13")[0]
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    top = 0.5 * rho0.elements
+    top[-1, -1] += 0.5
+    gamma = cfg.damping.gamma
+
+    def length(rho, gamma_t):
+        w = cascade_weights(cfg.medium, gamma, np.array([0.0, gamma_t / gamma]), 1)
+        bounds = _cascade_bounds(padded_diagonals(rho, 1), cfg.dim)
+        return int(_cascade_lengths(np.abs(w).max(axis=0), bounds)[0])
+
+    lengths = [length(rho0, gamma_t) for gamma_t in (0.01, 0.1, 1.0, 10.0)]
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1] < cfg.dim
+    assert length(DensityMatrix(cfg.dim, top), 10.0) == cfg.dim
+
+
+@pytest.mark.parametrize("medium, blocks", [(KERR, 40), (CUBIC, 1)])
+def test_a_chunk_of_only_t_zero_returns_the_initial_diagonals_exactly(medium, blocks):
+    # the cascades: every Kerr block and the cubic population block
+    rho0 = padded_rho(dim=40, alpha_sq=5.0, p=3)
+    damping = DampingSpec(DampingChannel.AMPLITUDE, 0.1)
+    ((chunk, diagonals),) = coherence_diagonals(rho0, medium, damping, np.array([0.0]))
+    for d, x_d in zip(range(blocks), diagonals):
+        assert np.array_equal(x_d, np.diagonal(rho0.elements, -d)[None]), d
 
 
 def test_amplitude_exact_states_validation():

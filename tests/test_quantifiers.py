@@ -380,3 +380,18 @@ def test_each_refused_matrix_breaks_its_own_check():
         with pytest.raises((ValidationError, NumericalInvariantError)):
             DensityMatrix(3, m)
 
+
+
+def test_purity_tally_on_strided_diagonals_and_non_finite_parts(rng):
+    # compute_record hands the tally strided views of the matrix diagonals;
+    # their re^2 + im^2 sums give Tr rho^2 of a mixed state
+    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    mixed = A @ A.conj().T
+    rho = DensityMatrix(12, mixed / np.trace(mixed).real)
+    rec = compute_record(rho, 0.0, 1.0, 16, (8.0, 161))
+    assert abs(rec.purity - np.trace(rho.elements @ rho.elements).real) < 1e-14
+    # an infinite or nan part, real or imaginary, still refuses its state
+    for x1 in (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, np.nan)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            refusal = batched_refusal([GOOD, vacuum_with(x1=x1)])
+        assert refusal == (ValidationError, "density matrix contains non-finite entries"), x1

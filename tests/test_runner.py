@@ -872,6 +872,22 @@ def test_cli_preset_unknown_name(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+def test_cli_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):
+    # argparse exits 2 on an argv it cannot parse; the kept parser must parse
+    # the next command as a fresh one would
+    assert cli._build_parser() is cli._build_parser()
+    for bad in (["run"], ["nonsense"], ["oracle", "x.cfg", "--samples", "many"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == EXIT_VALIDATION
+    capsys.readouterr()
+    path = write_config_file(tmp_path)
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("job.csv")
+    assert main(["preset", "--list"]) == EXIT_OK
+    assert "fig20" in capsys.readouterr().out
+
+
 def test_cli_converge(tmp_path, capsys):
     path = write_config_file(tmp_path)
     assert main(["converge", str(path), "--dims", "10,20,30,40"]) == EXIT_OK
