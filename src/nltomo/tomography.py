@@ -24,6 +24,12 @@ Every tomogram, of a sweep, a dump or one density matrix
 (:func:`tomogram_of_density`), is built diagonal by diagonal for a batch
 of states by :func:`tomograms_of_diagonals`, and :func:`check_tomograms`
 applies the per-state checks to the batch.
+
+Since psi_n(-x) = (-1)^n psi_n(x), the basis product psi_{j+d} psi_j has
+the parity of d in x.  On a symmetric window the kernel evaluates the
+products on the samples x >= 0 only, sums the even-d and the odd-d
+diagonals apart, E and O, and writes omega(x) = E + O and
+omega(-x) = E - O: half the products for the same tomogram.
 """
 
 from __future__ import annotations
@@ -276,7 +282,12 @@ def tomograms_of_diagonals(
     diagonal's rotated real parts, (n_theta T, J), multiply G_d.  On more, the
     basis is contracted first, H_d = [Re x_d; Im x_d] G_d, (2, T, n_x), and
     [c_d cos d theta, c_d sin d theta] H_d is added; each order is the faster
-    one on its side.  Since X_{theta+pi} = -X_theta, omega(x, theta + pi) =
+    one on its side.  G_d(-x) = (-1)^d G_d(x), so on a window with
+    x_min = -x_max, G_d is formed on the m = ceil(n_x / 2) samples x >= 0 only
+    (x = 0 among them when n_x is odd), the even-d and the odd-d terms are
+    summed apart into E and O, and omega = E + O on x >= 0 and
+    omega(-x) = E - O; any other window takes the same loop with m = n_x and
+    one sum.  Since X_{theta+pi} = -X_theta, omega(x, theta + pi) =
     omega(-x, theta): on a symmetric window whose second half of phases is the
     first shifted by pi, as on an even uniform grid, only the first half is
     computed and the second is its mirror in x.  Returns
@@ -287,25 +298,34 @@ def tomograms_of_diagonals(
     if (grid.n_theta <= 2 or grid.n_theta % 2 or grid.x_min != -grid.x_max
             or np.any(abs(thetas[h:] - thetas[:h] - math.pi) > 1e-12)):
         h = grid.n_theta
-    out = None
+    n_x = grid.n_x
+    m = (n_x + 1) // 2 if grid.x_min == -grid.x_max else n_x  # the columns x >= 0 computed
+    parts = None
     for d, x_d in enumerate(diagonals):
-        if out is None:
+        if parts is None:
             T, dim = x_d.shape
-            psi = _cached_basis(dim, grid.x_min, grid.x_max, grid.n_x)
-            out = np.zeros((grid.n_theta, T, grid.n_x))
+            psi = _cached_basis(dim, grid.x_min, grid.x_max, n_x)[n_x - m :]
+            parts = np.zeros((2 if m < n_x else 1, grid.n_theta, T, m))
+        part = parts[d % len(parts)]  # the even-d or odd-d sum
         weight = 1.0 if d == 0 else 2.0
         basis = (psi[:, d:] * psi[:, : dim - d]).T
         if grid.n_theta <= 2:
-            # rotate first, with math.cos, for two reasons: it is the faster order on two phases,
-            # and it keeps the sweeps' values bit for bit (a mirror-symmetric unitary series has
-            # twin minima that print alike; the references record one, which contract-first moves)
+            # rotate first: the faster order on two phases (contracting the basis first made the
+            # benchmark's fig8-like sweeps 3-5% slower, and moved one fig1 twin minimum)
             cos, sin = ([weight * f(d * th) for th in grid.thetas] for f in (math.cos, math.sin))
             rotated = np.multiply.outer(cos, x_d.real) + np.multiply.outer(sin, x_d.imag)
-            out += (rotated.reshape(-1, dim - d) @ basis).reshape(out.shape)
+            part += (rotated.reshape(-1, dim - d) @ basis).reshape(part.shape)
         else:
             rotation = weight * np.stack([np.cos(d * thetas[:h]), np.sin(d * thetas[:h])], axis=1)
             contracted = np.stack([x_d.real, x_d.imag]) @ basis
-            out[:h] += (rotation @ contracted.reshape(2, -1)).reshape(h, T, grid.n_x)
+            part[:h] += (rotation @ contracted.reshape(2, -1)).reshape(h, T, m)
+    if m < n_x:
+        even, odd = parts
+        out = np.empty((grid.n_theta, T, n_x))
+        out[..., n_x - m :] = even + odd
+        out[..., : n_x - m] = (even - odd)[..., ::-1][..., : n_x - m]
+    else:
+        out = parts[0]
     if h < grid.n_theta:
         out[h:] = out[:h, :, ::-1]
     return out

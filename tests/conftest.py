@@ -177,10 +177,11 @@ def dense_tomogram(rho, grid):
 
 
 def rotate_first_tomograms(diagonals, grid):
-    """The diagonal kernel as sweeps have always run it: (n_theta, T, n_x).
+    """The diagonal kernel in its plainest order, on the full window: (n_theta, T, n_x).
 
     Each diagonal's rotated real parts are stacked phase by phase, one
-    array per phase, and multiplied by its basis products.
+    array per phase, and multiplied by its basis products on every sample
+    x, with no parity split and no pi-mirror.
     """
     out = None
     for d, x_d in enumerate(diagonals):
