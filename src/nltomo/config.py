@@ -7,7 +7,7 @@ cannot silently change an experiment.  :func:`config_to_text` writes the
 fully resolved configuration back out, which is what the preset runner
 stores next to its outputs for reproducibility.
 
-The README tables the 20 recognized keys.  :func:`config_from_text`
+The README tables the 19 recognized keys.  :func:`config_from_text`
 passes the dataclasses only the keys a text sets, so each default is
 stated once, on its dataclass field; the parser supplies just the two
 that no field carries (``state.delta = 0`` and ``damping.channel =
@@ -74,7 +74,6 @@ class ExperimentConfig:
     minima_prominence: float = 1e-3
     out_dir: Path = Path("nltomo_out")
     name: str = "run"
-    force: bool = False
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -189,15 +188,6 @@ def _parse_int(key: str, text: str) -> int:
         raise ValidationError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_bool(key: str, text: str) -> bool:
-    value = text.lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ValidationError(f"{key}: expected a boolean, got {text!r}")
-
-
 def _parse_enum(enum_cls):
     def parse(key: str, text: str):
         value = text.lower()
@@ -235,21 +225,33 @@ def _verbatim(key: str, text: str) -> str:
     return text
 
 
-# key -> (ExperimentConfig field, parser), for every key beyond the
-# initial state, medium and damping
+def _optional(value) -> str | None:
+    return None if value is None else repr(value)
+
+
+def _joined(values) -> str | None:
+    return ",".join(map(repr, values)) or None
+
+
+def _product_values(products: frozenset) -> str:
+    return ",".join(sorted(p.value for p in products))
+
+
+# key -> (ExperimentConfig field, parser, writer), for every key beyond the
+# initial state, medium and damping, in the order config_to_text writes them;
+# a writer returning None leaves its key out
 _RUN_KEYS = {
-    "sim.dim": ("dim", _parse_int),
-    "sim.t_end_over_trev": ("t_end_over_trev", _parse_float),
-    "sim.steps": ("steps", _parse_int),
-    "sim.force": ("force", _parse_bool),
-    "grid.x_max": ("x_max", _parse_float),
-    "grid.n_x": ("n_x", _parse_int),
-    "grid.theta_count": ("theta_count", _parse_int),
-    "out.dir": ("out_dir", _verbatim),
-    "out.name": ("name", _verbatim),
-    "out.products": ("products", _parse_products),
-    "out.tomograms_at": ("tomograms_at", _parse_times),
-    "out.minima_prominence": ("minima_prominence", _parse_float),
+    "sim.dim": ("dim", _parse_int, repr),
+    "sim.t_end_over_trev": ("t_end_over_trev", _parse_float, repr),
+    "sim.steps": ("steps", _parse_int, repr),
+    "grid.x_max": ("x_max", _parse_float, _optional),
+    "grid.n_x": ("n_x", _parse_int, _optional),
+    "grid.theta_count": ("theta_count", _parse_int, repr),
+    "out.dir": ("out_dir", _verbatim, str),
+    "out.name": ("name", _verbatim, str),
+    "out.products": ("products", _parse_products, _product_values),
+    "out.tomograms_at": ("tomograms_at", _parse_times, _joined),
+    "out.minima_prominence": ("minima_prominence", _parse_float, repr),
 }
 
 _KNOWN_KEYS = {
@@ -279,7 +281,7 @@ def config_from_text(text: str, default_name: str | None = None) -> ExperimentCo
             raise ValidationError(f"{key} is required")
 
     def given(keys: dict) -> dict:
-        return {name: parse(key, kv[key]) for key, (name, parse) in keys.items() if key in kv}
+        return {name: parse(key, kv[key]) for key, (name, parse, *_) in keys.items() if key in kv}
 
     kind = _parse_enum(StateKind)("state.kind", kv["state.kind"])
     alpha_sq = _parse_float("state.alpha_sq", kv["state.alpha_sq"])
@@ -339,25 +341,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         f"medium.chi = {cfg.medium.chi!r}",
         f"damping.channel = {cfg.damping.channel.value}",
         f"damping.gamma = {cfg.damping.gamma!r}",
-        f"sim.dim = {cfg.dim}",
-        f"sim.t_end_over_trev = {cfg.t_end_over_trev!r}",
-        f"sim.steps = {cfg.steps}",
     ]
-    if cfg.force:
-        lines.append("sim.force = true")
-    if cfg.x_max is not None:
-        lines.append(f"grid.x_max = {cfg.x_max!r}")
-        lines.append(f"grid.n_x = {cfg.n_x}")
-    lines.append(f"grid.theta_count = {cfg.theta_count}")
-    lines.append(f"out.dir = {cfg.out_dir}")
-    lines.append(f"out.name = {cfg.name}")
-    lines.append(
-        "out.products = "
-        + ",".join(sorted(p.value for p in cfg.products))
-    )
-    if cfg.tomograms_at:
-        lines.append(
-            "out.tomograms_at = " + ",".join(repr(v) for v in cfg.tomograms_at)
-        )
-    lines.append(f"out.minima_prominence = {cfg.minima_prominence!r}")
+    for key, (name, _, write) in _RUN_KEYS.items():
+        value = write(getattr(cfg, name))
+        if value is not None:
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -122,12 +122,12 @@ def _minima_report_text(
 def run_experiment(cfg: ExperimentConfig, write_config: bool = False) -> RunResult:
     """Execute one configured sweep and write the requested products."""
     psi = cfg.initial_state.build(cfg.dim)
-    start = max(0, cfg.dim - 5)
+    start = max(1, cfg.dim - 5)  # the top 5 levels, never the ground level
     tail = tail_mass(psi, start)
-    if tail > _TAIL_TOL and not cfg.force:
+    if tail > _TAIL_TOL:
         raise ValidationError(
-            f"truncation check failed: mass {tail:.3e} in the top 5 Fock levels "
-            f"(tolerance {_TAIL_TOL:.0e}); raise sim.dim or set sim.force = true"
+            f"truncation check failed: mass {tail:.3e} in the top {cfg.dim - start} Fock "
+            f"levels (tolerance {_TAIL_TOL:.0e}); raise sim.dim"
         )
     rho0 = density_from_pure(psi)
     times = cfg.time_grid.values

@@ -175,9 +175,6 @@ class DensityMatrix:
         """Tr rho^2, computed without forming the matrix product."""
         return float(np.sum(np.abs(self.elements) ** 2))
 
-    def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self.elements)).copy()
-
 
 @dataclass(frozen=True)
 class InitialStateSpec:
@@ -328,7 +325,7 @@ def _ladder_moments(
     )
 
 
-def tail_mass(obj: FockVector | DensityMatrix, start: int) -> float:
+def tail_mass(state: FockVector, start: int) -> float:
     """Probability carried by Fock levels n >= start.
 
     Used to judge whether a truncation dimension is adequate: a healthy
@@ -336,13 +333,5 @@ def tail_mass(obj: FockVector | DensityMatrix, start: int) -> float:
     """
     if start < 0:
         raise ValidationError(f"start must be >= 0, got {start}")
-    if isinstance(obj, FockVector):
-        probs = obj.probabilities()
-    elif isinstance(obj, DensityMatrix):
-        probs = obj.populations()
-    else:
-        raise ValidationError(f"expected FockVector or DensityMatrix, got {type(obj)!r}")
-    if start >= len(probs):
-        return 0.0
-    return float(np.sum(probs[start:]))
+    return float(np.sum(state.probabilities()[start:]))
 

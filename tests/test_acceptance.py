@@ -352,7 +352,7 @@ def test_criterion_08_phase_damping_structure():
     for medium in (KERR, CUBIC):
         rho = even_rho(5.0, 40)
         damped = propagate_phase_damping(rho, medium, gamma, t)
-        pop_dev = float(np.max(np.abs(damped.populations() - rho.populations())))
+        pop_dev = float(np.max(np.abs(np.diagonal(damped.elements - rho.elements))))
         n = np.arange(40)
         factors = np.exp(-0.5 * gamma * (n[:, None] - n[None, :]) ** 2 * t)
         expected = propagate_unitary(rho, medium, t).elements * factors
@@ -371,7 +371,7 @@ def test_criterion_09_amplitude_damping_asymptote():
     for medium in (KERR, CUBIC):
         for label, make in TRIO:
             rho_t = coherence_block_solve(make(0.5, 30), medium, gamma, t)
-            infidelity = 1.0 - float(rho_t.populations()[0])
+            infidelity = 1.0 - float(rho_t.elements[0, 0].real)
             area = nonclassical_area(rho_t)
             entropy_dev = abs(entropy_sum(rho_t) - ENTROPY_BOUND)
             print(f"{medium.kind.value:5s} {label:13s}: 1-fidelity={infidelity:.3e} "

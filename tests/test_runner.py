@@ -39,6 +39,7 @@ from nltomo.quantifiers import (
     QuantifierRecord, compute_record, nonclassical_area, tomographic_entropy
 )
 from nltomo.runner import (
+    _records,
     _resolve_window,
     convergence_sweep,
     oracle_report,
@@ -119,7 +120,6 @@ def test_config_defaults():
     assert cfg.products == frozenset({Product.QUANTIFIERS_CSV})
     assert cfg.x_max is None and cfg.n_x is None
     assert cfg.name == "run"
-    assert not cfg.force
 
 
 REQUIRED_ONLY = """\
@@ -136,7 +136,7 @@ def test_readme_config_table_matches_parser():
     assert {key for key, _ in rows} == _KNOWN_KEYS
     # each run key has its field, and each field beyond the three specs its key
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    assert fields == {name for name, _ in _RUN_KEYS.values()} | {
+    assert fields == {name for name, _, _ in _RUN_KEYS.values()} | {
         "initial_state",
         "medium",
         "damping",
@@ -147,7 +147,7 @@ def test_readme_config_table_matches_parser():
         initial_state=base.initial_state, medium=base.medium, damping=base.damping, dim=25
     )
     literal = [(key, default.strip("`")) for key, default in rows if default.startswith("`")]
-    assert len(literal) == 11
+    assert len(literal) == 10
     for key, value in literal:
         assert config_from_text(REQUIRED_ONLY + f"{key} = {value}\n") == base, key
 
@@ -184,8 +184,9 @@ def test_config_bad_values():
         config_from_text(BASE_TEXT + "damping.gamma = fast\n")
     with pytest.raises(ValidationError, match="expected an integer"):
         config_from_text(BASE_TEXT + "grid.theta_count = many\n")
-    with pytest.raises(ValidationError, match="expected a boolean"):
-        config_from_text(BASE_TEXT + "sim.force = maybe\n")
+    # the truncation check has no bypass
+    with pytest.raises(ValidationError, match="unknown key 'sim.force'"):
+        config_from_text(BASE_TEXT + "sim.force = true\n")
     with pytest.raises(ValidationError, match="expected one of"):
         config_from_text(BASE_TEXT + "damping.channel = magic\n")
     with pytest.raises(ValidationError, match="out.products"):
@@ -386,10 +387,16 @@ def test_truncation_check(tmp_path):
         out_dir=tmp_path / "out",
         name="trunc",
     )
-    with pytest.raises(ValidationError, match="truncation check failed"):
+    with pytest.raises(ValidationError, match="truncation check failed: .* in the top 5 Fock levels"):
         run_experiment(ExperimentConfig(**base))
-    result = run_experiment(ExperimentConfig(**base, force=True))
-    assert len(result.records) == 2
+    # the check reads levels n >= max(1, dim - 5), so the vacuum passes at every dim
+    vacuum = InitialStateSpec(StateKind.COHERENT, 0j)
+    for dim in (2, 3, 4, 5):
+        result = run_experiment(ExperimentConfig(**{**base, "initial_state": vacuum, "dim": dim}))
+        assert len(result.records) == 2, dim
+    # and names the number of levels it read
+    with pytest.raises(ValidationError, match="in the top 2 Fock levels .*; raise sim.dim$"):
+        run_experiment(ExperimentConfig(**{**base, "dim": 3}))
 
 
 # --- sweeps: batched records -------------------------------------------------
@@ -475,7 +482,7 @@ def test_damped_sweep_records_match_per_state_records_at_fig8_size(tmp_path):
 
 @pytest.mark.parametrize("kind", [MediumKind.KERR, MediumKind.CUBIC])
 @EVERY_CHANNEL
-def test_sweep_records_at_dim_two_match_per_state_records(tmp_path, kind, damping):
+def test_sweep_records_at_dim_two_match_per_state_records(kind, damping):
     # no d = 2 diagonal: <a^2> is the sum of an empty one
     cfg = ExperimentConfig(
         initial_state=FAMILIES["coherent"],
@@ -484,11 +491,12 @@ def test_sweep_records_at_dim_two_match_per_state_records(tmp_path, kind, dampin
         dim=2,
         steps=5,
         t_end_over_trev=0.6,
-        force=True,
-        out_dir=tmp_path,
         name="dim2",
     )
-    assert_records_match(run_experiment(cfg).records, per_state_records(cfg))
+    # the truncation check refuses this state at dim 2, so the sweep is run directly
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    records = _records(cfg, rho0, cfg.time_grid.values, _resolve_window(cfg, rho0))
+    assert_records_match(records, per_state_records(cfg))
 
 
 REFERENCE_STATE = {

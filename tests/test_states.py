@@ -212,8 +212,6 @@ def test_tail_mass():
     assert tail_mass(state, 0) == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(state, 35) < 1e-12
     assert tail_mass(state, 100) == 0.0
-    rho = density_from_pure(state)
-    assert tail_mass(rho, 35) == pytest.approx(tail_mass(state, 35), abs=1e-15)
     with pytest.raises(ValidationError):
         tail_mass(state, -1)
     # the strongest field the presets use still fits comfortably in dim=100

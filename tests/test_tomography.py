@@ -433,8 +433,21 @@ def revival_tomogram(spec, kerr, u, x, thetas):
 KERR_REVIVALS = ("1/6", "1/4", "1/3", "1/2", "3/4")
 CUBIC_REVIVALS = ("1/12", "1/9", "1/6", "1/4")
 # three added photons reach higher Fock levels, which the production dims truncate: measured
-# 4.2e-12 on fig1 (dim 60; 5e-15 at dim 80) and 1.9e-7 on fig7 (dim 100; 1.1e-11 at dim 120)
-PHOTON_ADDED_TOL = {"fig1": 1e-11, "fig7": 1e-6}
+# 4.2e-12 on fig1 (dim 60; 5e-15 at dim 80) and 1.9e-7 on fig7 (dim 100), so the dim-100
+# presets take photon-added on a dim-120 copy (1.1e-11 on fig7, 1.1e-14 on fig9)
+PHOTON_ADDED_TOL = {"fig1": 1e-11, "fig7": 1e-10, "fig9": 1e-10}
+PHOTON_ADDED_DIM = {"fig7": 120, "fig9": 120}
+
+
+def revival_case(preset, family, tol):
+    """The preset's config of the family, its initial state, its two-slice grid and its bound."""
+    cfg = next(c for c in preset_configs(preset) if c.name.endswith(f"_{family}"))
+    if family == "photon_added":
+        tol = PHOTON_ADDED_TOL.get(preset, tol)
+        cfg = dataclasses.replace(cfg, dim=PHOTON_ADDED_DIM.get(preset, cfg.dim))
+    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
+    grid = symmetric_grid(*_resolve_window(cfg, rho0), conjugate_thetas(0.0))
+    return cfg, rho0, grid, tol
 
 
 @pytest.mark.parametrize(
@@ -449,15 +462,46 @@ PHOTON_ADDED_TOL = {"fig1": 1e-11, "fig7": 1e-6}
 )
 @pytest.mark.parametrize("family", ["coherent", "even", "photon_added"])
 def test_tomograms_at_fractional_revivals_match_closed_form(preset, fractions, tol, family):
-    if family == "photon_added":
-        tol = PHOTON_ADDED_TOL.get(preset, tol)
-    cfg = next(c for c in preset_configs(preset) if c.name.endswith(f"_{family}"))
-    rho0 = density_from_pure(cfg.initial_state.build(cfg.dim))
-    grid = symmetric_grid(*_resolve_window(cfg, rho0), conjugate_thetas(0.0))
+    cfg, rho0, grid, tol = revival_case(preset, family, tol)
     kerr = cfg.medium.kind is MediumKind.KERR
     for u in map(Fraction, fractions):
         rho = propagate_unitary(rho0, cfg.medium, float(u) * cfg.t_rev)
         want = revival_tomogram(cfg.initial_state, kerr, u, grid.x, grid.thetas)
+        assert np.max(np.abs(tomogram_of_density(rho, grid).values - want)) < tol, u
+
+
+# an 80-node rule is exact to round-off at every case below; 40 nodes left 3e-8 on fig9 at u = 3/4
+DEPHASING_NODES = 80
+
+
+@pytest.mark.parametrize(
+    "preset, fractions, tol",
+    [
+        ("fig5", KERR_REVIVALS, 1e-12),
+        # dim 100, as fig7: measured 9.3e-12
+        ("fig9", KERR_REVIVALS, 1e-7),
+        ("fig15", CUBIC_REVIVALS, 1e-12),
+        ("fig20", CUBIC_REVIVALS, 1e-12),
+    ],
+    ids=["fig5", "fig9", "fig15", "fig20"],
+)
+@pytest.mark.parametrize("family", ["coherent", "even", "photon_added"])
+def test_dephased_tomograms_at_fractional_revivals_match_averaged_closed_form(
+    preset, fractions, tol, family
+):
+    """Phase damping multiplies rho_{n+d,n} by exp(-gamma t d^2 / 2) = E exp(-i d phi) with
+    phi ~ N(0, gamma t), a Gaussian average over rotations, so the dephased tomogram is
+    E omega_U(x, theta + phi): a Gauss-Hermite sum of closed-form unitary slices."""
+    cfg, rho0, grid, tol = revival_case(preset, family, tol)
+    kerr = cfg.medium.kind is MediumKind.KERR
+    nodes, weights = np.polynomial.hermite_e.hermegauss(DEPHASING_NODES)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    for u in map(Fraction, fractions):
+        t = float(u) * cfg.t_rev
+        rho = propagate_phase_damping(rho0, cfg.medium, cfg.damping.gamma, t)
+        phases = np.add.outer(grid.thetas, math.sqrt(cfg.damping.gamma * t) * nodes)
+        slices = revival_tomogram(cfg.initial_state, kerr, u, grid.x, phases.ravel())
+        want = np.einsum("k,skx->sx", weights, slices.reshape(*phases.shape, -1))
         assert np.max(np.abs(tomogram_of_density(rho, grid).values - want)) < tol, u
 
 

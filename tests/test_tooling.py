@@ -1,11 +1,18 @@
 """The benchmark harness's self-tests and the README's example, run against this source tree."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from nltomo import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_perfbench_selftest_passes():
@@ -36,3 +43,17 @@ def test_readme_python_api_example_runs():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_seed_zero_outputs_match_its_references(workload, tmp_path, monkeypatch):
+    # the check `perfbench/run.py` makes at seed 0, on one iteration: every output
+    # file within 1e-10 of the reference output stored under perfbench/reference
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    verify = importlib.import_module("verify")
+    assert sorted(workloads.WORKLOADS) == sorted(BENCHMARK_WORKLOADS)
+    out = tmp_path / "out"
+    for run, cfg in workloads.write_configs(workload, workloads.DEFAULT_SEED, tmp_path / "cfg", out):
+        assert cli.main(["run", str(cfg)]) == cli.EXIT_OK, run.name
+        assert verify.check_reference(run, out, ROOT / "perfbench" / "reference" / workload) == []
