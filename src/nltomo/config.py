@@ -7,12 +7,13 @@ cannot silently change an experiment.  :func:`config_to_text` writes the
 fully resolved configuration back out, which is what the preset runner
 stores next to its outputs for reproducibility.
 
-The README tables the 19 recognized keys.  :func:`config_from_text`
-passes the dataclasses only the keys a text sets, so each default is
-stated once, on its dataclass field; the parser supplies just the two
-that no field carries (``state.delta = 0`` and ``damping.channel =
-none``).  Listing ``out.tomograms_at`` also adds the ``tomogram_dump``
-product.
+The README tables the 19 recognized keys.  ``_KEYS`` is the one place a
+key is named: its row gives the spec the key sets, the field, how the
+value is parsed and written, and the check of a single value.
+:func:`config_from_text` passes the dataclasses only the keys a text
+sets, so every default is stated once, on its dataclass field, and the
+parser supplies none.  Listing ``out.tomograms_at`` also adds the
+``tomogram_dump`` product.
 """
 
 from __future__ import annotations
@@ -76,33 +77,11 @@ class ExperimentConfig:
     name: str = "run"
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise ValidationError(f"sim.dim must be an integer >= 2, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        t_end = float(self.t_end_over_trev)
-        if not (math.isfinite(t_end) and t_end > 0):
-            raise ValidationError(
-                f"sim.t_end_over_trev must be finite and > 0, got {self.t_end_over_trev!r}"
-            )
-        object.__setattr__(self, "t_end_over_trev", t_end)
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
-            raise ValidationError(f"sim.steps must be an integer >= 2, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        for key, (owner, name, _, _, check) in _KEYS.items():
+            if owner == "run" and check is not None:
+                object.__setattr__(self, name, check(key, getattr(self, name)))
         if (self.x_max is None) != (self.n_x is None):
             raise ValidationError("grid.x_max and grid.n_x must be given together")
-        if self.x_max is not None:
-            x_max = float(self.x_max)
-            if not (math.isfinite(x_max) and x_max > 0):
-                raise ValidationError(f"grid.x_max must be > 0, got {self.x_max!r}")
-            object.__setattr__(self, "x_max", x_max)
-            if not isinstance(self.n_x, (int, np.integer)) or self.n_x < 2:
-                raise ValidationError(f"grid.n_x must be an integer >= 2, got {self.n_x!r}")
-            object.__setattr__(self, "n_x", int(self.n_x))
-        if not isinstance(self.theta_count, (int, np.integer)) or self.theta_count < 4:
-            raise ValidationError(
-                f"grid.theta_count must be an integer >= 4, got {self.theta_count!r}"
-            )
-        object.__setattr__(self, "theta_count", int(self.theta_count))
         products = frozenset(self.products)
         for p in products:
             if not isinstance(p, Product):
@@ -128,12 +107,6 @@ class ExperimentConfig:
             raise ValidationError(
                 "out.products includes tomogram_dump but out.tomograms_at is empty"
             )
-        prom = float(self.minima_prominence)
-        if not (math.isfinite(prom) and prom > 0):
-            raise ValidationError(
-                f"out.minima_prominence must be > 0, got {self.minima_prominence!r}"
-            )
-        object.__setattr__(self, "minima_prominence", prom)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if not self.name or any(c in self.name for c in "/\\"):
             raise ValidationError(f"out.name must be a bare file stem, got {self.name!r}")
@@ -164,7 +137,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
@@ -225,8 +198,13 @@ def _verbatim(key: str, text: str) -> str:
     return text
 
 
-def _optional(value) -> str | None:
-    return None if value is None else repr(value)
+def _member(member: enum.Enum) -> str:
+    return member.value
+
+
+def _if_set(value) -> str | None:
+    # None is an automatic window; p = 0 a state that adds no photons
+    return repr(value) if value else None
 
 
 def _joined(values) -> str | None:
@@ -237,33 +215,63 @@ def _product_values(products: frozenset) -> str:
     return ",".join(sorted(p.value for p in products))
 
 
-# key -> (ExperimentConfig field, parser, writer), for every key beyond the
-# initial state, medium and damping, in the order config_to_text writes them;
-# a writer returning None leaves its key out
-_RUN_KEYS = {
-    "sim.dim": ("dim", _parse_int, repr),
-    "sim.t_end_over_trev": ("t_end_over_trev", _parse_float, repr),
-    "sim.steps": ("steps", _parse_int, repr),
-    "grid.x_max": ("x_max", _parse_float, _optional),
-    "grid.n_x": ("n_x", _parse_int, _optional),
-    "grid.theta_count": ("theta_count", _parse_int, repr),
-    "out.dir": ("out_dir", _verbatim, str),
-    "out.name": ("name", _verbatim, str),
-    "out.products": ("products", _parse_products, _product_values),
-    "out.tomograms_at": ("tomograms_at", _parse_times, _joined),
-    "out.minima_prominence": ("minima_prominence", _parse_float, repr),
-}
+def _non_negative(key: str, value: float) -> float:
+    if value < 0:
+        raise ValidationError(f"{key} must be >= 0, got {value!r}")
+    return value
 
-_KNOWN_KEYS = {
-    "state.kind",
-    "state.alpha_sq",
-    "state.delta",
-    "state.p",
-    "medium.kind",
-    "medium.chi",
-    "damping.channel",
-    "damping.gamma",
-    *_RUN_KEYS,
+
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _finite_positive(key: str, value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValidationError(f"{key} must be finite and > 0, got {value!r}")
+    return number
+
+
+def _at_least(k: int):
+    def check(key: str, value) -> int:
+        if not isinstance(value, (int, np.integer)) or value < k:
+            raise ValidationError(f"{key} must be an integer >= {k}, got {value!r}")
+        return int(value)
+
+    return check
+
+
+def _or_none(check):
+    return lambda key, value: None if value is None else check(key, value)
+
+
+# key -> (owner, field, parser, writer, check).  The owner is the spec the key
+# sets, or "run" for an ExperimentConfig field.  config_to_text writes the keys
+# in this order and leaves out one whose writer returns None.  A check takes
+# (key, value) and returns the value to store; ExperimentConfig runs those of
+# its own fields, config_from_text the others.
+_KEYS = {
+    "state.kind": ("state", "kind", _parse_enum(StateKind), _member, None),
+    "state.alpha_sq": ("state", "alpha_sq", _parse_float, repr, _non_negative),
+    "state.delta": ("state", "delta", _parse_float, repr, _finite),
+    "state.p": ("state", "p", _parse_int, _if_set, None),
+    "medium.kind": ("medium", "kind", _parse_enum(MediumKind), _member, None),
+    "medium.chi": ("medium", "chi", _parse_float, repr, None),
+    "damping.channel": ("damping", "channel", _parse_enum(DampingChannel), _member, None),
+    "damping.gamma": ("damping", "gamma", _parse_float, repr, None),
+    "sim.dim": ("run", "dim", _parse_int, repr, _at_least(2)),
+    "sim.t_end_over_trev": ("run", "t_end_over_trev", _parse_float, repr, _finite_positive),
+    "sim.steps": ("run", "steps", _parse_int, repr, _at_least(2)),
+    "grid.x_max": ("run", "x_max", _parse_float, _if_set, _or_none(_finite_positive)),
+    "grid.n_x": ("run", "n_x", _parse_int, _if_set, _or_none(_at_least(2))),
+    "grid.theta_count": ("run", "theta_count", _parse_int, repr, _at_least(4)),
+    "out.dir": ("run", "out_dir", _verbatim, str, None),
+    "out.name": ("run", "name", _verbatim, str, None),
+    "out.products": ("run", "products", _parse_products, _product_values, None),
+    "out.tomograms_at": ("run", "tomograms_at", _parse_times, _joined, None),
+    "out.minima_prominence": ("run", "minima_prominence", _parse_float, repr, _finite_positive),
 }
 
 
@@ -274,41 +282,29 @@ def config_from_text(text: str, default_name: str | None = None) -> ExperimentCo
     setting takes the default of its field; ``default_name`` stands in
     for a missing ``out.name``.
     """
-    # the two defaults that no dataclass field carries
-    kv = {"state.delta": "0", "damping.channel": "none", **parse_config_text(text)}
+    kv = parse_config_text(text)
     for key in ("state.kind", "state.alpha_sq", "medium.kind", "sim.dim"):
         if key not in kv:
             raise ValidationError(f"{key} is required")
-
-    def given(keys: dict) -> dict:
-        return {name: parse(key, kv[key]) for key, (name, parse, *_) in keys.items() if key in kv}
-
-    kind = _parse_enum(StateKind)("state.kind", kv["state.kind"])
-    alpha_sq = _parse_float("state.alpha_sq", kv["state.alpha_sq"])
-    if alpha_sq < 0:
-        raise ValidationError(f"state.alpha_sq must be >= 0, got {alpha_sq}")
-    delta = _parse_float("state.delta", kv["state.delta"])
-    if not math.isfinite(delta):
-        raise ValidationError(f"state.delta must be finite, got {delta}")
-    if kind is not StateKind.PHOTON_ADDED and "state.p" in kv:
+    given: dict[str, dict] = {owner: {} for owner, *_ in _KEYS.values()}
+    for key, (owner, name, parse, _, check) in _KEYS.items():
+        if key in kv:
+            value = parse(key, kv[key])
+            if check is not None and owner != "run":
+                value = check(key, value)
+            given[owner][name] = value
+    state = given["state"]
+    if state["kind"] is not StateKind.PHOTON_ADDED and "p" in state:
         raise ValidationError("state.p is only valid for state.kind = photon_added")
-    initial_state = InitialStateSpec._of_polar(
-        kind, alpha_sq, delta, **given({"state.p": ("p", _parse_int)})
-    )
-
-    medium = MediumSpec(
-        _parse_enum(MediumKind)("medium.kind", kv["medium.kind"]),
-        **given({"medium.chi": ("chi", _parse_float)}),
-    )
-    damping = DampingSpec(
-        _parse_enum(DampingChannel)("damping.channel", kv["damping.channel"]),
-        **given({"damping.gamma": ("gamma", _parse_float)}),
-    )
-
-    run = given(_RUN_KEYS)
+    run = given["run"]
     if default_name is not None:
         run.setdefault("name", default_name)
-    cfg = ExperimentConfig(initial_state, medium, damping, **run)
+    cfg = ExperimentConfig(
+        InitialStateSpec._of_polar(**state),
+        MediumSpec(**given["medium"]),
+        DampingSpec(**given["damping"]),
+        **run,
+    )
     if "out.tomograms_at" in kv:
         # listing dump times asks for the dumps
         cfg = replace(cfg, products=cfg.products | {Product.TOMOGRAM_DUMP})
@@ -329,21 +325,15 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         abs(state.alpha) ** 2,
         math.atan2(state.alpha.imag, state.alpha.real),
     )
-    lines = [
-        f"state.kind = {state.kind.value}",
-        f"state.alpha_sq = {alpha_sq!r}",
-        f"state.delta = {delta!r}",
-    ]
-    if state.kind is StateKind.PHOTON_ADDED:
-        lines.append(f"state.p = {state.p}")
-    lines += [
-        f"medium.kind = {cfg.medium.kind.value}",
-        f"medium.chi = {cfg.medium.chi!r}",
-        f"damping.channel = {cfg.damping.channel.value}",
-        f"damping.gamma = {cfg.damping.gamma!r}",
-    ]
-    for key, (name, _, write) in _RUN_KEYS.items():
-        value = write(getattr(cfg, name))
+    values = {
+        "state": {"kind": state.kind, "alpha_sq": alpha_sq, "delta": delta, "p": state.p},
+        "medium": vars(cfg.medium),
+        "damping": vars(cfg.damping),
+        "run": vars(cfg),
+    }
+    lines = []
+    for key, (owner, name, _, write, _) in _KEYS.items():
+        value = write(values[owner][name])
         if value is not None:
             lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -111,7 +111,7 @@ class DampingChannel(enum.Enum):
 class DampingSpec:
     """Damping channel and rate.  gamma == 0 if and only if channel is NONE."""
 
-    channel: DampingChannel
+    channel: DampingChannel = DampingChannel.NONE
     gamma: float = 0.0
 
     def __post_init__(self):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, Product
 from .errors import ValidationError
-from .evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec
+from .evolve import DampingChannel, DampingSpec, MediumKind, MediumSpec, revival_time
 from .runner import RunResult, run_experiment
 from .states import InitialStateSpec, StateKind
 
@@ -64,8 +64,7 @@ def _trio(alpha_sq: float, dim: int) -> list[tuple[str, InitialStateSpec, int]]:
 
 
 def _gamma_t_end_over_trev(gamma_t_max: float, gamma: float, medium: MediumSpec) -> float:
-    t_end = gamma_t_max / gamma
-    return t_end / (math.pi / medium.chi)
+    return gamma_t_max / gamma / revival_time(medium)
 
 
 def _runs(

@@ -193,7 +193,7 @@ class InitialStateSpec:
 
     @classmethod
     def _of_polar(
-        cls, kind: StateKind, alpha_sq: float, delta: float, p: int = 0
+        cls, kind: StateKind, alpha_sq: float, delta: float = 0.0, p: int = 0
     ) -> InitialStateSpec:
         """The spec with alpha = sqrt(alpha_sq) e^{i delta}, keeping the pair."""
         spec = cls(kind, math.sqrt(alpha_sq) * complex(math.cos(delta), math.sin(delta)), p)

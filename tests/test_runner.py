@@ -14,8 +14,7 @@ import nltomo
 from nltomo import cli
 from nltomo.cli import EXIT_INVARIANT, EXIT_OK, EXIT_VALIDATION, main
 from nltomo.config import (
-    _KNOWN_KEYS,
-    _RUN_KEYS,
+    _KEYS,
     ExperimentConfig,
     Product,
     config_from_file,
@@ -120,6 +119,9 @@ def test_config_defaults():
     assert cfg.products == frozenset({Product.QUANTIFIERS_CSV})
     assert cfg.x_max is None and cfg.n_x is None
     assert cfg.name == "run"
+    # the two defaults a text may leave out that sit on a spec's field
+    assert (DampingSpec().channel, DampingSpec().gamma) == (DampingChannel.NONE, 0.0)
+    assert InitialStateSpec._of_polar(StateKind.COHERENT, 2.0)._polar == (2.0, 0.0)
 
 
 REQUIRED_ONLY = """\
@@ -133,10 +135,10 @@ sim.dim = 25
 def test_readme_config_table_matches_parser():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|.*\| (.+) \|$", readme, re.M)
-    assert {key for key, _ in rows} == _KNOWN_KEYS
+    assert {key for key, _ in rows} == set(_KEYS)
     # each run key has its field, and each field beyond the three specs its key
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    assert fields == {name for name, _, _ in _RUN_KEYS.values()} | {
+    assert fields == {name for owner, name, *_ in _KEYS.values() if owner == "run"} | {
         "initial_state",
         "medium",
         "damping",
@@ -150,6 +152,46 @@ def test_readme_config_table_matches_parser():
     assert len(literal) == 10
     for key, value in literal:
         assert config_from_text(REQUIRED_ONLY + f"{key} = {value}\n") == base, key
+
+
+# a value each checked key refuses: an integer one below its bound, and
+# 0, -1, inf and nan for a float that must be finite and > 0
+BAD_VALUES = {
+    "state.alpha_sq": ["-1"],
+    "state.delta": ["inf"],
+    "sim.dim": ["1"],
+    "sim.t_end_over_trev": ["0", "-1", "inf", "nan"],
+    "sim.steps": ["1"],
+    "grid.x_max": ["0", "-1", "inf", "nan"],
+    "grid.n_x": ["1"],
+    "grid.theta_count": ["3"],
+    "out.minima_prominence": ["0", "-1", "inf", "nan"],
+}
+
+
+def test_bad_values_cover_every_checked_key():
+    assert set(BAD_VALUES) == {key for key, row in _KEYS.items() if row[4] is not None}
+
+
+@pytest.mark.parametrize(
+    "key, value", [(key, value) for key, values in BAD_VALUES.items() for value in values]
+)
+def test_checked_key_refuses_a_bad_value(key, value):
+    settings = dict(parse_config_text(REQUIRED_ONLY), **{"grid.x_max": "8", "grid.n_x": "161"})
+    settings[key] = value
+    with pytest.raises(ValidationError) as refused:
+        config_from_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert str(refused.value).startswith(f"{key} must be "), str(refused.value)
+    owner, name, parse, _, _ = _KEYS[key]
+    if owner == "run":
+        # configs built in code are checked alike
+        base = config_from_text(REQUIRED_ONLY)
+        ok = dict(initial_state=base.initial_state, medium=base.medium, damping=base.damping)
+        ok.update(dim=25, x_max=8.0, n_x=161)
+        ok[name] = parse(key, value)
+        with pytest.raises(ValidationError) as refused:
+            ExperimentConfig(**ok)
+        assert str(refused.value).startswith(f"{key} must be "), str(refused.value)
 
 
 def test_config_alpha_reconstruction():
@@ -289,7 +331,44 @@ def test_catalog_configs_roundtrip_exactly():
     configs = [cfg for name in preset_names() for cfg in preset_configs(name)]
     assert len(configs) == 55
     for cfg in configs:
-        assert config_from_text(config_to_text(cfg)) == cfg, cfg.name
+        text = config_to_text(cfg)
+        assert config_from_text(text) == cfg, cfg.name
+        # and each snapshot reads back to the same bytes
+        assert config_to_text(config_from_text(text)) == text, cfg.name
+
+
+def test_config_with_every_key_set_writes_back_byte_for_byte():
+    text = (
+        "state.kind = photon_added\n"
+        "state.alpha_sq = 3.5\n"
+        "state.delta = -0.25\n"
+        "state.p = 2\n"
+        "medium.kind = cubic\n"
+        "medium.chi = 2.5\n"
+        "damping.channel = phase\n"
+        "damping.gamma = 0.125\n"
+        "sim.dim = 30\n"
+        "sim.t_end_over_trev = 0.75\n"
+        "sim.steps = 7\n"
+        "grid.x_max = 9.5\n"
+        "grid.n_x = 191\n"
+        "grid.theta_count = 64\n"
+        "out.dir = some/dir\n"
+        "out.name = every_key\n"
+        "out.products = minima_report,quantifiers_csv,tomogram_dump\n"
+        "out.tomograms_at = 0.05,0.25\n"
+        "out.minima_prominence = 0.002\n"
+    )
+    assert list(parse_config_text(text)) == list(_KEYS)
+    cfg = config_from_text(text)
+    # no key holds its default
+    base = config_from_text(REQUIRED_ONLY)
+    for owner, name, *_ in _KEYS.values():
+        if owner in ("medium", "damping"):
+            assert getattr(getattr(cfg, owner), name) != getattr(getattr(base, owner), name)
+        elif owner == "run":
+            assert getattr(cfg, name) != getattr(base, name), name
+    assert config_to_text(cfg) == text
 
 
 def test_resolved_config_writes_the_configured_alpha_sq_and_delta(tmp_path):
