@@ -131,12 +131,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    if args.list or args.name is None:
-        if not args.list and args.name is None:
-            raise ValidationError("preset: give a name or --list")
+    if args.list:
         for name in preset_names():
             print(f"{name:7s} {preset_description(name)}")
         return EXIT_OK
+    if args.name is None:
+        raise ValidationError("preset: give a name or --list")
     results = run_preset(args.name, args.out)
     for result in results:
         for path in filter(

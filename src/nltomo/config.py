@@ -315,7 +315,11 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    return config_from_text(path.read_text(), default_name=path.stem)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config file {path} cannot be read: {exc}") from None
+    return config_from_text(text, default_name=path.stem)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

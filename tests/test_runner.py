@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -855,6 +856,16 @@ def test_preset_catalog():
         preset_configs("fig21")
 
 
+def test_preset_catalog_parameters_are_pinned():
+    # every field of the 55 configs, so a changed dim, rate or step count in a row fails
+    text = "".join(config_to_text(cfg) for name in preset_names() for cfg in preset_configs(name))
+    assert text.count("out.name = ") == 55
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "483fc843493b432307ce7185d45b5a01d434ac2dc7dab437271b7498daf4e23f"
+    )
+
+
 def test_readme_preset_table_matches_the_catalog():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(fig\d+)` \| (.+) \|$", readme, re.M)
@@ -926,6 +937,15 @@ def test_cli_run_bad_config(tmp_path, capsys):
     path.write_text(BASE_TEXT.replace("0.7853981633974483", "inf"))
     assert main(["run", str(path)]) == EXIT_VALIDATION
     assert "state.delta must be finite" in capsys.readouterr().err
+
+
+def test_cli_run_config_that_cannot_be_decoded(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"state.kind = coherent\n\xff\n")
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"config file {path} cannot be read" in err
+    assert "Traceback" not in err
 
 
 def test_cli_run_rejects_dump_times_that_share_a_file_name(tmp_path, capsys):

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nltomo import cli
+from nltomo.config import config_from_file
+from nltomo.presets import preset_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -57,3 +60,15 @@ def test_benchmark_seed_zero_outputs_match_its_references(workload, tmp_path, mo
     for run, cfg in workloads.write_configs(workload, workloads.DEFAULT_SEED, tmp_path / "cfg", out):
         assert cli.main(["run", str(cfg)]) == cli.EXIT_OK, run.name
         assert verify.check_reference(run, out, ROOT / "perfbench" / "reference" / workload) == []
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_seed_zero_runs_are_their_presets_at_fewer_steps(workload, tmp_path, monkeypatch):
+    # perfbench/workloads.py writes its configs on its own; at seed 0 each must be
+    # the preset run of the same name, with only the step count and out.dir changed
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    out = tmp_path / "out"
+    for run, cfg in workloads.write_configs(workload, workloads.DEFAULT_SEED, tmp_path / "cfg", out):
+        preset = {c.name: c for c in preset_configs(run.name.split("_")[0])}[run.name]
+        assert config_from_file(cfg) == replace(preset, steps=run.steps, out_dir=out), run.name
